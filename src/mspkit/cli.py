@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = YES / true / valid / unique, 1 = NO / false / invalid /
-not-unique, 2 = usage or parse error, 3 = resource limit exceeded.
+not-unique, 2 = usage or parse error, 3 = resource limit exceeded,
+4 = internal error (an unexpected exception; no answer was reached).
 Results go to stdout, diagnostics to stderr.
 """
 
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .core import Code, Palette, score
-from .errors import InvalidInputError, ParseError, PreconditionError, ResourceLimitError
+from .errors import InvalidInputError, ParseError, ResourceLimitError
 from .io import parse_graph, parse_instance, serialize_instance
 from .reduction import (Graph, brute_force_vertex_cover, construct_witness,
                         extract_cover, is_vertex_cover, reduce_vertex_cover)
@@ -24,6 +25,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _fail(message: str) -> None:
@@ -172,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mspkit",
         description="Mastermind satisfiability: solve, verify, and reduce vertex cover.")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized helpers (reserved)")
     parser.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP,
                         help="candidate/result cap for exhaustive work")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -232,18 +232,16 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_NO
-    except ParseError as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
-    except PreconditionError as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
-    except InvalidInputError as exc:
+    except (ParseError, InvalidInputError) as exc:
         _fail(str(exc))
         return EXIT_USAGE
     except ResourceLimitError as exc:
         _fail(str(exc))
         return EXIT_RESOURCE
+    except Exception as exc:
+        # exit 1 would read as NO; say that no answer was reached instead
+        _fail(f"internal error: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

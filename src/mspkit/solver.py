@@ -14,6 +14,12 @@ produced every declared score.  Two engines decide this:
   _multiset_feasible) that refutes many instances outright and cuts doomed
   subtrees early; it only ever prunes on proof.
 
+Color counts are sparse throughout: a guess's counts are a Counter over the
+colors it holds, and the multiset checks search only the colors some guess
+uses, so their cost scales with those colors, not with kappa.  The search's
+set-up builds the same sparse structures plus four flat per-color counters,
+and each search node scans the palette.
+
 Both engines return identical answers and witnesses; the test suite enforces
 this differentially.
 """
@@ -141,80 +147,72 @@ def _multiset_feasible(instance: MspInstance,
     refutations of dense cover encodings cheap: the shared vertex budget and
     the per-edge totals conflict at this level already.
     """
-    kappa = instance.kappa
-    n = len(instance.guesses)
-    if n == 0:
-        return True
+    rows = [Counter(sg.guess) for sg in instance.guesses]
     targets = [sg.declared.black + sg.declared.white for sg in instance.guesses]
-    caps = [[0] * (kappa + 1) for _ in range(n)]
-    for gi, sg in enumerate(instance.guesses):
-        for c in sg.guess:
-            caps[gi][c] += 1
-    return _system_feasible(kappa, instance.length, caps, targets, budget)
+    return _system_feasible(instance.kappa, instance.length, rows, targets, budget)
 
 
-def _system_feasible(kappa: int, ell: int, caps: list[list[int]],
+def _system_feasible(kappa: int, ell: int, rows: list[dict[int, int]],
                      targets: list[int], budget: int) -> bool | None:
     """Core of the multiset check: exists k >= 0 per color with
-    sum(k) == ell and sum_c min(k_c, caps[g][c]) == targets[g] for all g.
+    sum(k) == ell and sum_c min(k_c, rows[g][c]) == targets[g] for all g,
+    where ``rows[g]`` maps each color to its count in guess g.
 
-    Mutates ``caps``.  Returns False only on proof of infeasibility.
+    Only the live colors (held by some row and by no target-0 row) are
+    searched; any other color adds no match and can only pad the total.
+    Returns False only on proof of infeasibility.
     """
-    n = len(targets)
-    # a color with remaining capacity in a target-0 guess can never be used;
-    # dropping its caps everywhere keeps the suffix bounds honest about that
-    dead = [False] * (kappa + 1)
-    for gi in range(n):
-        if targets[gi] == 0:
-            row = caps[gi]
-            for c in range(1, kappa + 1):
-                if row[c]:
-                    dead[c] = True
-    for c in range(1, kappa + 1):
-        if dead[c]:
-            for row in caps:
-                row[c] = 0
-    topcap = [0] * (kappa + 1)
-    for c in range(1, kappa + 1):
-        topcap[c] = max(row[c] for row in caps)
-    # suffix[gi][c]: match total still obtainable from colors > c
-    suffix = [[0] * (kappa + 2) for _ in range(n)]
-    for gi in range(n):
-        srow = suffix[gi]
-        crow = caps[gi]
-        for c in range(kappa, 0, -1):
-            srow[c] = srow[c + 1] + crow[c]
-
+    # a color held by a target-0 row can never be used; leaving it out of
+    # every row keeps the reach bounds honest about that
+    dead = {c for row, t in zip(rows, targets) if t == 0 for c in row}
+    by_color: dict[int, list[tuple[int, int]]] = {}
+    # rest[g]: match total still obtainable from colors not yet decided
+    rest = [0] * len(rows)
+    for gi, row in enumerate(rows):
+        for c, t in row.items():
+            if c not in dead:
+                by_color.setdefault(c, []).append((gi, t))
+                rest[gi] += t
+    if any(r < t for r, t in zip(rest, targets)):
+        return False
+    levels = [(row, max(t for _, t in row))
+              for _, row in sorted(by_color.items())]
+    running = [0] * len(rows)
     steps = 0
 
-    def dfs(c: int, total: int, running: list[int], inflatable: bool) -> bool | None:
+    def dfs(j: int, total: int, inflatable: bool) -> bool | None:
+        # only guesses in this color's row change at this level, so only
+        # they need the overshoot and reach checks
         nonlocal steps
         steps += 1
         if steps > budget:
             return None
-        if c > kappa:
-            if total > ell or (total < ell and not inflatable):
+        if j == len(levels):
+            if total < ell and not inflatable:
                 return False
-            return all(running[gi] == targets[gi] for gi in range(n))
-        limit = min(topcap[c], ell - total)
-        k = 0
-        while True:
-            gains = [min(k, caps[gi][c]) for gi in range(n)]
-            if any(running[gi] + gains[gi] > targets[gi] for gi in range(n)):
+            return running == targets
+        row, topcap = levels[j]
+        for gi, t in row:
+            rest[gi] -= t
+        for k in range(min(topcap, ell - total) + 1):
+            if any(running[gi] + min(k, t) > targets[gi] for gi, t in row):
                 break  # larger k only overshoots further
-            if all(running[gi] + gains[gi] + suffix[gi][c + 1] >= targets[gi]
-                   for gi in range(n)):
-                nxt = [running[gi] + gains[gi] for gi in range(n)]
-                sub = dfs(c + 1, total + k,
-                          nxt, inflatable or k == topcap[c])
+            if all(running[gi] + min(k, t) + rest[gi] >= targets[gi]
+                   for gi, t in row):
+                for gi, t in row:
+                    running[gi] += min(k, t)
+                sub = dfs(j + 1, total + k, inflatable or k == topcap)
                 if sub is not False:
-                    return sub
-            if k == limit:
-                break
-            k += 1
+                    return sub  # the search ends here; no state to restore
+                for gi, t in row:
+                    running[gi] -= min(k, t)
+        for gi, t in row:
+            rest[gi] += t
         return False
 
-    return dfs(1, 0, [0] * n, False)
+    # inflatable: some color can take copies that add no match; an unused
+    # color can, and so can a live one once it reaches its top count
+    return dfs(0, 0, len(by_color) + len(dead) < kappa)
 
 
 def _all_codes(instance: MspInstance, cap: int) -> Iterator[Code]:
@@ -241,6 +239,10 @@ class _Search:
       colors that some unsaturated guess still accepts.
     * colors of a guess declared (0, 0) are banned outright.
 
+    Per-guess color counts and the per-color guess lists are sparse (the
+    colors the guesses hold); only the scalar per-color state indexed at
+    every node (cnt, banned, last_occ, unsat_cnt) is palette-sized.
+
     Canonical mode (solve only; preserves satisfiability and the
     lex-smallest solution but collapses interchangeable branches):
 
@@ -264,28 +266,22 @@ class _Search:
         self.b_target = [sg.declared.black for sg in guesses]
         self.w_target = [sg.declared.black + sg.declared.white for sg in guesses]
 
-        self.gcount = [[0] * kap1 for _ in range(self.n)]
-        for gi, p in enumerate(self.pegs):
-            for c in p:
-                self.gcount[gi][c] += 1
-        self.support = [
-            tuple(c for c in range(1, kap1) if cnt[c]) for cnt in self.gcount
-        ]
-        self.by_color: list[list[tuple[int, int]]] = [[] for _ in range(kap1)]
-        for gi in range(self.n):
-            for c in self.support[gi]:
-                self.by_color[c].append((gi, self.gcount[gi][c]))
+        # gcount[gi][c]: pegs of color c in guess gi (colors it holds only)
+        self.gcount = [Counter(p) for p in self.pegs]
+        # by_color[c]: (guess, its peg count of c) for every guess holding c
+        self.by_color: dict[int, list[tuple[int, int]]] = {}
+        for gi, gc in enumerate(self.gcount):
+            for c, t in gc.items():
+                self.by_color.setdefault(c, []).append((gi, t))
         # thresh[c][t]: number of guesses holding exactly t pegs of color c;
         # drives O(1) maintenance of unsat_cnt below.
-        self.thresh: list[dict[int, int]] = [{} for _ in range(kap1)]
-        for c in range(1, kap1):
-            for _, t in self.by_color[c]:
-                self.thresh[c][t] = self.thresh[c].get(t, 0) + 1
+        self.thresh = {c: Counter(t for _, t in row)
+                       for c, row in self.by_color.items()}
 
         self.banned = [False] * kap1
-        for gi in range(self.n):
+        for gi, gc in enumerate(self.gcount):
             if self.w_target[gi] == 0:
-                for c in self.support[gi]:
+                for c in gc:
                     self.banned[c] = True
 
         # at_pos[i][c]: guesses whose peg at position i is c.
@@ -316,7 +312,9 @@ class _Search:
         self.b_par = [0] * self.n
         self.m_par = [0] * self.n
         # unsat_cnt[c]: guesses whose match count would still grow on color c
-        self.unsat_cnt = [len(self.by_color[c]) for c in range(kap1)]
+        self.unsat_cnt = [0] * kap1
+        for c, row in self.by_color.items():
+            self.unsat_cnt[c] = len(row)
         self.prefix = [0] * self.ell
         self.out: list[Code] = []
         self.limit = 0
@@ -371,7 +369,8 @@ class _Search:
             for gi in bumps:
                 self.m_par[gi] += 1
             self.cnt[c] += 1
-            self.unsat_cnt[c] -= self.thresh[c].get(self.cnt[c], 0)
+            if bumps:  # else no guess holds more than cnt[c] pegs of c
+                self.unsat_cnt[c] -= self.thresh[c][self.cnt[c]]
             self.prefix[i] = c
 
             if last:
@@ -389,9 +388,8 @@ class _Search:
                     fire = False
                     for gi in bumps:
                         if self.m_par[gi] == self.w_target[gi]:
-                            gc = self.gcount[gi]
-                            for c2 in self.support[gi]:
-                                if gc[c2] > self.cnt[c2]:
+                            for c2, t in self.gcount[gi].items():
+                                if t > self.cnt[c2]:
                                     fire = True
                                     break
                         if fire:
@@ -399,7 +397,8 @@ class _Search:
                     if not fire or self._residual_feasible(i) is not False:
                         self._dfs(i + 1, nf_c, nf_p)
 
-            self.unsat_cnt[c] += self.thresh[c].get(self.cnt[c], 0)
+            if bumps:
+                self.unsat_cnt[c] += self.thresh[c][self.cnt[c]]
             self.cnt[c] -= 1
             for gi in bumps:
                 self.m_par[gi] -= 1
@@ -421,7 +420,8 @@ class _Search:
         """Can the suffix after position i still reach every declared score?"""
         rem = self.ell - i - 1
         nxt = i + 1
-        blocked: list[bool] | None = None
+        cnt, last_occ = self.cnt, self.last_occ
+        blocked: set[int] | None = None
         for gi in range(self.n):
             if self.b_par[gi] + self.suffix_open[gi][nxt] < self.b_target[gi]:
                 return False
@@ -431,13 +431,15 @@ class _Search:
             if need > rem:
                 return False
             if blocked is None:
-                blocked = self._blocked_colors(floor_c, floor_pos)
+                blocked = self._blocked_colors()
             gain = 0
-            cnt, gc = self.cnt, self.gcount[gi]
-            for c in self.support[gi]:
-                if blocked[c]:
+            for c, t in self.gcount[gi].items():
+                # the ascending stream never revisits colors below the floor
+                # (ascend-only floor updates make this permanent; the floor
+                # stays at 0 outside canonical mode)
+                if c in blocked or (c < floor_c and last_occ[c] < floor_pos):
                     continue
-                d = gc[c] - cnt[c]
+                d = t - cnt[c]
                 if d > 0:
                     gain += d
                     if gain >= need:
@@ -451,31 +453,16 @@ class _Search:
         rem = self.ell - i - 1
         cnt = self.cnt
         targets = [self.w_target[gi] - self.m_par[gi] for gi in range(self.n)]
-        caps = []
-        for gi in range(self.n):
-            gc = self.gcount[gi]
-            row = [0] * (self.kappa + 1)
-            for c in self.support[gi]:
-                d = gc[c] - cnt[c]
-                if d > 0:
-                    row[c] = d
-            caps.append(row)
-        return _system_feasible(self.kappa, rem, caps, targets,
+        rows = [{c: t - cnt[c] for c, t in gc.items() if t > cnt[c]}
+                for gc in self.gcount]
+        return _system_feasible(self.kappa, rem, rows, targets,
                                 _RESIDUAL_CHECK_BUDGET)
 
-    def _blocked_colors(self, floor_c: int, floor_pos: int) -> list[bool]:
+    def _blocked_colors(self) -> set[int]:
         """Colors no future placement may use without overshooting a guess."""
-        blocked = [False] * (self.kappa + 1)
-        for gi in range(self.n):
+        cnt = self.cnt
+        blocked = set()
+        for gi, gc in enumerate(self.gcount):
             if self.m_par[gi] == self.w_target[gi]:
-                cnt, gc = self.cnt, self.gcount[gi]
-                for c in self.support[gi]:
-                    if gc[c] > cnt[c]:
-                        blocked[c] = True
-        if self.canonical:
-            # the ascending stream never revisits colors below the floor
-            # (ascend-only floor updates make this permanent)
-            for c in range(1, min(floor_c, self.kappa + 1)):
-                if self.last_occ[c] < floor_pos:
-                    blocked[c] = True
+                blocked.update(c for c, t in gc.items() if t > cnt[c])
         return blocked

@@ -1,12 +1,16 @@
 """Command-line contract: stdout formats and exit codes."""
 
+import itertools
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from mspkit.cli import EXIT_NO, EXIT_RESOURCE, EXIT_USAGE, EXIT_YES, main
+from mspkit.cli import (EXIT_INTERNAL, EXIT_NO, EXIT_RESOURCE, EXIT_USAGE,
+                        EXIT_YES, main)
+from mspkit.io import parse_instance
+from mspkit.solver import verify
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -102,6 +106,39 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(path))
         assert code == EXIT_USAGE
         assert "line 2" in err
+
+
+class TestInternalError:
+    def test_unexpected_exception_is_not_a_no(self, capsys, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("mspkit.cli.solve", broken)
+        path = tmp_path / "swap.msp"
+        path.write_text("msp 2 2\ng 1 2 : 0 2\n")
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err == "error: internal error: RuntimeError: boom\n"
+
+    def test_dense_cover_instance_never_exits_no(self, capsys, tmp_path):
+        # K40 with cover size 39 is a YES instance with 822 colors, all of
+        # them in some guess; the multiset check recurses once per color
+        edges = list(itertools.combinations(range(1, 41), 2))
+        graph = tmp_path / "k40.graph"
+        graph.write_text(f"p edge 40 {len(edges)}\n"
+                         + "".join(f"e {u} {v}\n" for u, v in edges))
+        inst = tmp_path / "k40n39.msp"
+        code, _, _ = run(capsys, "reduce", str(graph), "--cover-size", "39",
+                         "-o", str(inst))
+        assert code == EXIT_YES
+        code, out, err = run(capsys, "solve", str(inst))
+        assert code in (EXIT_YES, EXIT_INTERNAL)
+        if code == EXIT_YES:
+            witness = tuple(int(tok) for tok in out.split())
+            assert verify(parse_instance(inst.read_text()), witness)
+        else:
+            assert err.startswith("error: internal error: ")
 
 
 class TestVerify:

@@ -1,14 +1,16 @@
 """Decision procedures: backtracking engine, exhaustive engine, enumeration."""
 
 import itertools
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mspkit.core import Palette, Score
+from mspkit.core import Palette, Score, score
 from mspkit.errors import InvalidInputError, ResourceLimitError
 from mspkit.solver import (DEFAULT_EXHAUSTIVE_CAP, Enumeration, MspInstance,
-                           ScoredGuess, enumerate_all, solve, verify)
+                           ScoredGuess, SolveOutcome, _multiset_feasible,
+                           enumerate_all, solve, verify)
 
 
 def instances(max_kappa=3, max_len=4, max_guesses=3):
@@ -31,6 +33,53 @@ def instances(max_kappa=3, max_len=4, max_guesses=3):
     return st.tuples(st.integers(1, max_kappa),
                      st.integers(1, max_len)).flatmap(
         lambda kl: seeded(*kl)).map(build)
+
+
+@st.composite
+def sparse_palettes(draw):
+    """1000-5000 colors, guesses over at most 4 of them, ell <= 4.
+
+    Scores are true for a random secret, except that some are redrawn at
+    random, which makes many instances UNSAT.
+    """
+    kappa = draw(st.integers(1000, 5000))
+    ell = draw(st.integers(1, 4))
+    palette = Palette(kappa)
+    used = draw(st.lists(st.integers(1, kappa), min_size=1, max_size=4,
+                         unique=True))
+    secret = draw(st.lists(st.one_of(st.sampled_from(used),
+                                     st.integers(1, kappa)),
+                           min_size=ell, max_size=ell))
+    guesses = []
+    for _ in range(draw(st.integers(1, 3))):
+        pegs = tuple(draw(st.lists(st.sampled_from(used),
+                                   min_size=ell, max_size=ell)))
+        declared = score(tuple(secret), pegs, palette)
+        if draw(st.booleans()):
+            black = draw(st.integers(0, ell))
+            declared = Score(black, draw(st.integers(0, ell - black)))
+        guesses.append(ScoredGuess(pegs, declared))
+    return MspInstance(palette, ell, tuple(guesses))
+
+
+def compressed_solve(instance):
+    """Exhaustive solve over the used colors plus the smallest unused one.
+
+    A color no guess holds scores nothing, so swapping every unused color of
+    a solution for the smallest unused one gives a solution no larger: the
+    lex-smallest solution lives in this sub-palette.  The monotone color map
+    keeps lex order, so the small instance's first solution maps back to it.
+    """
+    used = {c for sg in instance.guesses for c in sg.guess}
+    colors = sorted(used | {min(set(range(1, len(used) + 2)) - used)})
+    down = {c: i for i, c in enumerate(colors, 1)}
+    small = MspInstance(Palette(len(colors)), instance.length, tuple(
+        ScoredGuess(tuple(down[c] for c in sg.guess), sg.declared)
+        for sg in instance.guesses))
+    outcome = solve(small, mode="exhaustive")
+    if not outcome.satisfiable:
+        return outcome
+    return SolveOutcome(True, tuple(colors[c - 1] for c in outcome.witness))
 
 
 def brute_solutions(instance):
@@ -174,6 +223,27 @@ def test_adding_a_true_score_keeps_witness(instance):
             probe, score_codes(probe, witness, instance.palette)),))
     assert verify(extended, witness)
     assert solve(extended).satisfiable
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_palettes())
+def test_sparse_palette_matches_compressed_oracle(instance):
+    assert solve(instance) == compressed_solve(instance)
+
+
+@settings(max_examples=500, deadline=None)
+@given(instances(max_kappa=4, max_len=5, max_guesses=4))
+@example(MspInstance(Palette(2), 2, (ScoredGuess((1, 2), Score(0, 0)),)))
+def test_root_check_refutes_exactly_the_infeasible_multiset_systems(instance):
+    # these sizes stay far below the step budget, where the check is exact;
+    # the example has only dead colors, so no multiset pads the code length
+    totals = [(Counter(sg.guess), sg.declared.black + sg.declared.white)
+              for sg in instance.guesses]
+    feasible = any(
+        all(sum((gc & Counter(ms)).values()) == t for gc, t in totals)
+        for ms in itertools.combinations_with_replacement(
+            range(1, instance.kappa + 1), instance.length))
+    assert (_multiset_feasible(instance) is False) == (not feasible)
 
 
 @given(st.integers(1, 3), st.integers(1, 4))
