@@ -17,7 +17,8 @@ from .reduction import (ColorMap, Graph, ReductionArtifact,
                         extract_cover, is_vertex_cover, reduce_vertex_cover)
 from .solver import (DEFAULT_EXHAUSTIVE_CAP, Enumeration, MspInstance,
                      ScoredGuess, SolveOutcome, enumerate_all, solve, verify)
-from .uniqueness import UniquenessReport, is_unique, score_pairs_excluding_perfect
+from .uniqueness import (UniquenessReport, is_unique, is_unique_by_followups,
+                         score_pairs_excluding_perfect)
 
 __version__ = "0.1.0"
 
@@ -32,6 +33,7 @@ __all__ = [
     "reduce_vertex_cover",
     "DEFAULT_EXHAUSTIVE_CAP", "Enumeration", "MspInstance", "ScoredGuess",
     "SolveOutcome", "enumerate_all", "solve", "verify",
-    "UniquenessReport", "is_unique", "score_pairs_excluding_perfect",
+    "UniquenessReport", "is_unique", "is_unique_by_followups",
+    "score_pairs_excluding_perfect",
     "__version__",
 ]

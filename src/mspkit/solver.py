@@ -82,8 +82,8 @@ class Enumeration(NamedTuple):
 def verify(instance: MspInstance, candidate: Code) -> bool:
     """True iff ``candidate`` reproduces every declared score.
 
-    Runs in O(#guesses * (length + kappa)); guesses were validated when the
-    instance was built, so only the candidate is checked here.
+    Runs in O(#guesses * length); guesses were validated when the instance
+    was built, so only the candidate is checked here.
     """
     validate_code(candidate, instance.palette, length=instance.length)
     cand_counts = Counter(candidate)
@@ -104,30 +104,31 @@ def solve(instance: MspInstance, mode: str = "backtrack",
         if _multiset_feasible(instance) is False:
             return SolveOutcome(False, None)
         found: list[Code] = []
-        _Search(instance, canonical=True).run(limit=1, out=found)
+        _Search(instance).run(limit=1, out=found)
         if found:
             return SolveOutcome(True, found[0])
         return SolveOutcome(False, None)
     if mode == "exhaustive":
-        for code in _all_codes(instance, cap):
-            if verify(instance, code):
-                return SolveOutcome(True, code)
-        return SolveOutcome(False, None)
+        code = next(_sweep(instance, cap), None)
+        return SolveOutcome(code is not None, code)
     raise InvalidInputError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
 def enumerate_all(instance: MspInstance, cap: int) -> Enumeration:
     """All solutions in lexicographic order, truncated at ``cap``.
 
-    Backtracking enumeration with every solution-preserving pruning rule but
-    no dominance shortcuts, so each solution is visited exactly once.
+    The first is solve()'s witness, the lex-smallest solution, so nothing
+    lies before it; the rest come from a search resumed just past it, with
+    every solution-preserving pruning rule but no dominance shortcuts, so
+    each solution is visited exactly once.
     """
     if cap < 1:
         raise InvalidInputError(f"enumeration cap must be positive, got {cap}")
-    if _multiset_feasible(instance) is False:
+    first = solve(instance)
+    if not first.satisfiable:
         return Enumeration((), False)
-    found: list[Code] = []
-    _Search(instance, canonical=False).run(limit=cap + 1, out=found)
+    found = [first.witness]
+    _Search(instance, after=first.witness).run(limit=cap + 1, out=found)
     return Enumeration(tuple(found[:cap]), len(found) > cap)
 
 
@@ -226,6 +227,11 @@ def _all_codes(instance: MspInstance, cap: int) -> Iterator[Code]:
     return product(range(1, instance.kappa + 1), repeat=instance.length)
 
 
+def _sweep(instance: MspInstance, cap: int) -> Iterator[Code]:
+    """Every solution in lexicographic order, by checking every candidate."""
+    return (code for code in _all_codes(instance, cap) if verify(instance, code))
+
+
 class _Search:
     """Shared depth-first engine for solve() and enumerate_all().
 
@@ -243,7 +249,7 @@ class _Search:
     colors the guesses hold); only the scalar per-color state indexed at
     every node (cnt, banned, last_occ, unsat_cnt) is palette-sized.
 
-    Canonical mode (solve only; preserves satisfiability and the
+    Canonical mode (solve, no ``after``; preserves satisfiability and the
     lex-smallest solution but collapses interchangeable branches):
 
     * inert dedup: colors that can no longer change any black or match count
@@ -252,12 +258,20 @@ class _Search:
       is order-interchangeable with later such colors; a (floor value,
       floor position) pair with ascend-only updates skips placements that a
       value swap would turn into a lex-smaller solution.
+
+    Non-canonical mode (enumerate_all, ``after`` given) visits every
+    solution lexicographically greater than ``after`` exactly once.  While
+    the prefix still equals ``after``'s (is tight), colors below ``after``'s
+    next peg are skipped, and the leaf ``after`` itself is not reported.
+    enumerate_all resumes at solve()'s witness, the lex-smallest solution,
+    so nothing is lost.
     """
 
-    def __init__(self, instance: MspInstance, canonical: bool):
+    def __init__(self, instance: MspInstance, after: Code | None = None):
         self.ell = instance.length
         self.kappa = instance.palette.kappa
-        self.canonical = canonical
+        self.after = after
+        self.canonical = after is None
         guesses = instance.guesses
         self.n = len(guesses)
         kap1 = self.kappa + 1
@@ -320,18 +334,22 @@ class _Search:
         self.limit = 0
 
     def run(self, limit: int, out: list[Code]) -> None:
+        """Append solutions to ``out`` until it holds ``limit`` codes."""
         self.out = out
         self.limit = limit
         if self._feasible(-1, 0, -1):
-            self._dfs(0, 0, -1)
+            self._dfs(0, 0, -1, not self.canonical)
 
-    def _dfs(self, i: int, floor_c: int, floor_pos: int) -> None:
+    def _dfs(self, i: int, floor_c: int, floor_pos: int, tight: bool) -> None:
         # floor starts at (0, -1): no color is below it and no position is
         # before it, so nothing is skipped until a stream placement occurs.
         last = i + 1 == self.ell
         at_i = self.at_pos[i]
         tried_inert = False
-        for c in range(1, self.kappa + 1):
+        # on a tight prefix only colors from after[i] up lead past ``after``,
+        # and c == lo keeps the prefix tight
+        lo = self.after[i] if tight else 1
+        for c in range(lo, self.kappa + 1):
             if self.banned[c]:
                 continue
             eligible = self.last_occ[c] < i
@@ -374,7 +392,7 @@ class _Search:
             self.prefix[i] = c
 
             if last:
-                if self._exact():
+                if self._exact() and not (tight and c == lo):
                     self.out.append(tuple(self.prefix))
             else:
                 if self.canonical and eligible and c >= floor_c:
@@ -395,7 +413,7 @@ class _Search:
                         if fire:
                             break
                     if not fire or self._residual_feasible(i) is not False:
-                        self._dfs(i + 1, nf_c, nf_p)
+                        self._dfs(i + 1, nf_c, nf_p, tight and c == lo)
 
             if bumps:
                 self.unsat_cnt[c] += self.thresh[c][self.cnt[c]]

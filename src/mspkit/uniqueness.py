@@ -1,5 +1,11 @@
 """Deciding whether an instance pins down exactly one secret.
 
+``is_unique`` (the default) looks for a second solution directly: one
+search resumed just past the witness s, the lex-smallest solution, in the
+order the enumeration uses.  The instance is unique exactly when that search
+finds nothing.
+
+``is_unique_by_followups`` is the paper's construction, kept as the oracle.
 A satisfiable instance with witness s is unique precisely when no extension
 of the instance by (s, p) is satisfiable, where p ranges over every declared
 score other than the perfect (ell, 0).  Any second solution t would survive
@@ -11,10 +17,12 @@ so checking all ell*(ell+3)/2 imperfect pairs settles uniqueness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .core import Code, Score
+from .core import Code, Score, score
 from .errors import InvalidInputError
-from .solver import MspInstance, ScoredGuess, solve
+from .solver import (DEFAULT_EXHAUSTIVE_CAP, MODES, MspInstance, ScoredGuess,
+                     _sweep, enumerate_all, solve)
 
 
 @dataclass(frozen=True)
@@ -40,13 +48,40 @@ def score_pairs_excluding_perfect(ell: int) -> list[Score]:
 
 
 def is_unique(instance: MspInstance, mode: str = "backtrack") -> UniquenessReport:
+    """Find the first two solutions in lexicographic order.
+
+    ``followups_tried`` keeps the follow-up construction's scale: 0 when
+    unsatisfiable, the full pair count ell*(ell+3)/2 when unique, and
+    otherwise the 1-based position, among score_pairs_excluding_perfect,
+    of the score of the second solution against the witness - the
+    follow-up that solution proves satisfiable.  That position is below the
+    pair count, since the last pair (ell - 1, 1) is never a real score, and
+    never below is_unique_by_followups' count, which stops at the first
+    satisfiable follow-up.
+    """
+    if mode == "backtrack":
+        codes = enumerate_all(instance, cap=2).codes
+    elif mode == "exhaustive":
+        codes = tuple(islice(_sweep(instance, DEFAULT_EXHAUSTIVE_CAP), 2))
+    else:
+        raise InvalidInputError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if not codes:
+        return UniquenessReport(False, False, None, 0)
+    pairs = score_pairs_excluding_perfect(instance.length)
+    if len(codes) == 1:
+        return UniquenessReport(True, True, codes[0], len(pairs))
+    rank = pairs.index(score(codes[0], codes[1], instance.palette)) + 1
+    return UniquenessReport(True, False, codes[0], rank)
+
+
+def is_unique_by_followups(instance: MspInstance) -> UniquenessReport:
     """Solve, then probe every imperfect follow-up score of the witness.
 
     Stops at the first satisfiable follow-up (early exit), so
     ``followups_tried`` equals the full pair count exactly when the
     instance is unique.
     """
-    base = solve(instance, mode=mode)
+    base = solve(instance)
     if not base.satisfiable:
         return UniquenessReport(False, False, None, 0)
     witness = base.witness
@@ -57,6 +92,6 @@ def is_unique(instance: MspInstance, mode: str = "backtrack") -> UniquenessRepor
             instance.palette, instance.length,
             instance.guesses + (ScoredGuess(witness, pair),))
         tried += 1
-        if solve(extended, mode=mode).satisfiable:
+        if solve(extended).satisfiable:
             return UniquenessReport(True, False, witness, tried)
     return UniquenessReport(True, True, witness, tried)

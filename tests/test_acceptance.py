@@ -18,7 +18,8 @@ from mspkit.reduction import (Graph, brute_force_vertex_cover,
                               construct_witness, extract_cover,
                               is_vertex_cover, reduce_vertex_cover)
 from mspkit.solver import MspInstance, ScoredGuess, enumerate_all, solve, verify
-from mspkit.uniqueness import is_unique, score_pairs_excluding_perfect
+from mspkit.uniqueness import (is_unique, is_unique_by_followups,
+                               score_pairs_excluding_perfect)
 
 SEED = 20260816
 
@@ -247,6 +248,44 @@ def test_criterion_7_uniqueness_oracle_agreement():
     _report("7 uniqueness oracle agreement", ok,
             f"500 instances, {disagreements} disagreements; "
             f"follow-up counts within budget and formula exact for ell 1..50")
+
+
+def test_criterion_7_uniqueness_independent_oracles():
+    # criterion 7's 500 seeded instances, drawn the same way; is_unique runs
+    # on enumerate_all, so here it is checked against the paper's follow-up
+    # loop and against a filter of every code by the scoring function
+    rng = random.Random(SEED)
+    followup_mismatches = []
+    filter_mismatches = []
+    for _ in range(500):
+        kappa = rng.randint(1, 3)
+        ell = rng.randint(1, 3)
+        guesses = []
+        for _ in range(rng.randint(0, 3)):
+            pegs = tuple(rng.randint(1, kappa) for _ in range(ell))
+            black = rng.randint(0, ell)
+            white = rng.randint(0, ell - black)
+            guesses.append(ScoredGuess(pegs, Score(black, white)))
+        palette = Palette(kappa)
+        instance = MspInstance(palette, ell, tuple(guesses))
+        report = is_unique(instance)
+        oracle = is_unique_by_followups(instance)
+        if (report.satisfiable, report.unique, report.witness) != (
+                oracle.satisfiable, oracle.unique, oracle.witness) \
+                or oracle.followups_tried > report.followups_tried:
+            followup_mismatches.append((instance, report, oracle))
+        fits = [code for code in itertools.product(range(1, kappa + 1), repeat=ell)
+                if all(score(sg.guess, code, palette) == sg.declared
+                       for sg in guesses)]
+        if (report.satisfiable != bool(fits)
+                or report.witness != (fits[0] if fits else None)
+                or report.unique != (len(fits) == 1)):
+            filter_mismatches.append((instance, report, fits[:2]))
+    ok = not followup_mismatches and not filter_mismatches
+    _report("7 uniqueness against independent oracles", ok,
+            f"500 instances, {len(followup_mismatches)} disagreements with "
+            f"is_unique_by_followups, {len(filter_mismatches)} with the "
+            f"brute-force filter")
 
 
 def _hub_graph(rng, nv, ne, hubs):

@@ -1,13 +1,16 @@
 """Decision procedures: backtracking engine, exhaustive engine, enumeration."""
 
 import itertools
+import signal
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mspkit.core import Palette, Score, score
 from mspkit.errors import InvalidInputError, ResourceLimitError
+from mspkit.reduction import Graph, reduce_vertex_cover
 from mspkit.solver import (DEFAULT_EXHAUSTIVE_CAP, Enumeration, MspInstance,
                            ScoredGuess, SolveOutcome, _multiset_feasible,
                            enumerate_all, solve, verify)
@@ -254,3 +257,33 @@ def test_near_perfect_single_white_is_impossible(kappa, ell):
         inst = MspInstance(Palette(kappa), ell,
                            (ScoredGuess(pegs, Score(ell - 1, 1)),))
         assert solve(inst, mode="exhaustive").satisfiable is False
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the body once ``seconds`` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("layout", ["standard", "compact"])
+def test_enumeration_past_the_witness_finishes_on_dense_reduction(layout):
+    # a search of every code from the start spent minutes below the witness
+    # on this reduction; resuming at the witness reaches the next ones at once
+    graph = Graph(5, ((1, 3), (1, 5), (2, 4), (4, 5)))
+    instance = reduce_vertex_cover(graph, 2, layout).instance
+    with time_limit(10):
+        result = enumerate_all(instance, cap=5)
+        witness = solve(instance).witness
+    assert len(result.codes) == 5
+    assert result.codes[0] == witness
+    assert all(a < b for a, b in zip(result.codes, result.codes[1:]))
+    assert all(verify(instance, code) for code in result.codes)

@@ -1,13 +1,16 @@
 """Unique-solution detection against the enumeration oracle."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mspkit.core import Palette, Score
+from mspkit.core import Palette, Score, score
 from mspkit.errors import InvalidInputError
 from mspkit.reduction import Graph, reduce_vertex_cover
-from mspkit.solver import MspInstance, ScoredGuess, enumerate_all
-from mspkit.uniqueness import UniquenessReport, is_unique, score_pairs_excluding_perfect
+from mspkit.solver import MspInstance, ScoredGuess, enumerate_all, solve, verify
+from mspkit.uniqueness import (UniquenessReport, is_unique, is_unique_by_followups,
+                               score_pairs_excluding_perfect)
 
 
 def instances(max_kappa=3, max_len=3, max_guesses=3):
@@ -29,6 +32,30 @@ def instances(max_kappa=3, max_len=3, max_guesses=3):
     return st.tuples(st.integers(1, max_kappa),
                      st.integers(1, max_len)).flatmap(
         lambda kl: seeded(*kl)).map(build)
+
+
+@st.composite
+def games(draw, max_kappa=6, max_len=5, max_guesses=5):
+    """Guesses scored against a random secret, as in a game of Mastermind.
+
+    About a third of the scores are redrawn at random, so some instances
+    are UNSAT; the true-scored rest are often unique, which makes the
+    search past the witness run to exhaustion.
+    """
+    kappa = draw(st.integers(3, max_kappa))
+    ell = draw(st.integers(3, max_len))
+    palette = Palette(kappa)
+    codes = st.lists(st.integers(1, kappa), min_size=ell, max_size=ell).map(tuple)
+    secret = draw(codes)
+    guesses = []
+    for _ in range(draw(st.integers(1, max_guesses))):
+        pegs = draw(codes)
+        declared = score(pegs, secret, palette)
+        if draw(st.integers(0, 2)) == 0:
+            black = draw(st.integers(0, ell))
+            declared = Score(black, draw(st.integers(0, ell - black)))
+        guesses.append(ScoredGuess(pegs, declared))
+    return MspInstance(palette, ell, tuple(guesses))
 
 
 def follow_up_budget(ell):
@@ -55,6 +82,25 @@ class TestFrozenExamples:
             ScoredGuess((2, 2), Score(2, 0))))
         report = is_unique(inst)
         assert report == UniquenessReport(False, False, None, 0)
+
+
+class TestFollowUpOracle:
+    def test_pinned_instance_probes_every_follow_up(self):
+        inst = MspInstance(Palette(2), 2, (ScoredGuess((1, 1), Score(2, 0)),))
+        assert is_unique_by_followups(inst) == UniquenessReport(True, True, (1, 1), 5)
+
+    def test_count_names_the_second_solution_follow_up(self):
+        # (1, 2) follows the witness (1, 1) and scores (1, 0) against it, the
+        # fourth imperfect pair; the oracle already stops at (0, 0), which
+        # (2, 2) satisfies
+        inst = MspInstance(Palette(2), 2, ())
+        assert is_unique(inst) == UniquenessReport(True, False, (1, 1), 4)
+        assert is_unique_by_followups(inst) == UniquenessReport(True, False, (1, 1), 1)
+
+    def test_rejects_unknown_mode(self):
+        inst = MspInstance(Palette(2), 1, ())
+        with pytest.raises(InvalidInputError):
+            is_unique(inst, mode="bogus")
 
 
 class TestScorePairs:
@@ -112,3 +158,33 @@ def test_follow_up_count_bounds(instance):
 @given(instances())
 def test_engine_choice_does_not_matter(instance):
     assert is_unique(instance, mode="backtrack") == is_unique(instance, mode="exhaustive")
+
+
+@settings(max_examples=150, deadline=None)
+@given(games())
+def test_one_search_agrees_with_follow_up_oracle_on_games(instance):
+    report = is_unique(instance)
+    oracle = is_unique_by_followups(instance)
+    assert report.satisfiable == oracle.satisfiable
+    assert report.unique == oracle.unique
+    assert report.witness == oracle.witness
+    # the oracle stops at the first satisfiable follow-up, the one search
+    # names the follow-up of the lex-second solution
+    assert oracle.followups_tried <= report.followups_tried
+    if report.satisfiable and not report.unique:
+        pair = score_pairs_excluding_perfect(instance.length)[report.followups_tried - 1]
+        extended = MspInstance(instance.palette, instance.length,
+                               instance.guesses + (ScoredGuess(report.witness, pair),))
+        assert solve(extended).satisfiable
+
+
+@settings(max_examples=100, deadline=None)
+@given(games(), st.integers(1, 6))
+def test_enumeration_matches_sweep_on_games(instance, cap):
+    # kappa <= 6 and ell <= 5: at most 6**5 candidates to sweep
+    space = itertools.product(range(1, instance.kappa + 1), repeat=instance.length)
+    expected = tuple(itertools.islice(
+        (code for code in space if verify(instance, code)), cap + 1))
+    result = enumerate_all(instance, cap=cap)
+    assert result.codes == expected[:cap]
+    assert result.truncated == (len(expected) > cap)
