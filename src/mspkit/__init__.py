@@ -6,8 +6,8 @@ vertex-cover questions as instances (with witness construction and cover
 extraction for the round trip back).
 """
 
-from .core import (Code, ColorMultiset, Palette, Score, as_code, multiset,
-                   naive_score, rho1, rho2, score)
+from .core import (Code, Palette, Score, multiset, naive_score, rho1, rho2,
+                   score)
 from .errors import (InvalidInputError, MspkitError, ParseError,
                      PreconditionError, ResourceLimitError)
 from .io import (parse_graph, parse_instance, serialize_graph,
@@ -23,8 +23,8 @@ from .uniqueness import (UniquenessReport, is_unique, is_unique_by_followups,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Code", "ColorMultiset", "Palette", "Score", "as_code", "multiset",
-    "naive_score", "rho1", "rho2", "score",
+    "Code", "Palette", "Score", "multiset", "naive_score", "rho1", "rho2",
+    "score",
     "InvalidInputError", "MspkitError", "ParseError", "PreconditionError",
     "ResourceLimitError",
     "parse_graph", "parse_instance", "serialize_graph", "serialize_instance",

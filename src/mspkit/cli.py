@@ -18,7 +18,7 @@ from .errors import InvalidInputError, ParseError, ResourceLimitError
 from .io import parse_graph, parse_instance, serialize_instance
 from .reduction import (Graph, brute_force_vertex_cover, construct_witness,
                         extract_cover, is_vertex_cover, reduce_vertex_cover)
-from .solver import DEFAULT_EXHAUSTIVE_CAP, enumerate_all, solve, verify
+from .solver import DEFAULT_EXHAUSTIVE_CAP, MODES, enumerate_all, solve, verify
 from .uniqueness import is_unique
 
 EXIT_YES = 0
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="decide an instance file")
     p.add_argument("instance", help="instance file")
-    p.add_argument("--mode", choices=("backtrack", "exhaustive"), default="backtrack")
+    p.add_argument("--mode", choices=MODES, default="backtrack")
     p.add_argument("--all", action="store_true", help="list every solution")
     p.set_defaults(func=cmd_solve)
 

@@ -13,13 +13,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import InvalidInputError
 
 Code = tuple[int, ...]
-
-ColorMultiset = Counter
 
 
 @dataclass(frozen=True)
@@ -48,10 +46,6 @@ class Score(NamedTuple):
         return self.black + self.white
 
 
-def as_code(pegs: Iterable[int]) -> Code:
-    return tuple(pegs)
-
-
 def validate_code(code: Code, palette: Palette, length: int | None = None) -> None:
     """Raise InvalidInputError unless ``code`` is a well-formed code.
 
@@ -66,7 +60,7 @@ def validate_code(code: Code, palette: Palette, length: int | None = None) -> No
             raise InvalidInputError(f"peg {peg!r} outside palette 1..{palette.kappa}")
 
 
-def multiset(code: Code) -> ColorMultiset:
+def multiset(code: Code) -> Counter:
     """The color multiset of a code (position information dropped)."""
     return Counter(code)
 
@@ -74,7 +68,7 @@ def multiset(code: Code) -> ColorMultiset:
 def score(x: Code, y: Code, palette: Palette) -> Score:
     """Score code ``y`` against code ``x``.
 
-    Symmetric in its arguments.  Counting implementation: O(len + kappa).
+    Symmetric in its arguments.  Counting implementation: O(len).
     """
     validate_code(x, palette)
     validate_code(y, palette, length=len(x))
@@ -123,7 +117,7 @@ def rho1(x: Code, y: Code) -> int:
     return len(x) - black
 
 
-def rho2(x: Mapping[int, int] | ColorMultiset, y: Mapping[int, int] | ColorMultiset) -> int:
+def rho2(x: Mapping[int, int], y: Mapping[int, int]) -> int:
     """Multiset residual distance: pegs left unmatched by color counts.
 
     Arguments are color multisets (see ``multiset``).  A metric on

@@ -17,8 +17,8 @@ produced every declared score.  Two engines decide this:
 Color counts are sparse throughout: a guess's counts are a Counter over the
 colors it holds, and the multiset checks search only the colors some guess
 uses, so their cost scales with those colors, not with kappa.  The search's
-set-up builds the same sparse structures plus four flat per-color counters,
-and each search node scans the palette.
+set-up builds the same sparse structures plus four flat per-color counters
+(cnt, blocked, last_occ, top), and each search node scans the palette.
 
 Both engines return identical answers and witnesses; the test suite enforces
 this differentially.
@@ -238,16 +238,21 @@ class _Search:
     Pruning (always on; removes no solutions):
 
     * black counts: a partial assignment may never exceed a guess's declared
-      black count, and the open positions whose guess peg is not banned must
-      keep the exact count reachable.
+      black count, and the open positions whose guess peg is not blocked
+      from the start must keep the exact count reachable.
     * color matches: the running per-color match total for a guess may never
       exceed declared black + white, and the deficit must stay coverable by
-      colors that some unsaturated guess still accepts.
-    * colors of a guess declared (0, 0) are banned outright.
+      colors that are not blocked.
+    * blocked colors: once a guess reaches its match total (a guess declared
+      (0, 0) from the start), a color it holds more pegs of than are placed
+      can never be placed again.  blocked[c] counts those guesses.  As a
+      blocked color is never placed, the count changes only when a
+      placement saturates a guess, which is also when the residual
+      multiset check runs.
 
     Per-guess color counts and the per-color guess lists are sparse (the
     colors the guesses hold); only the scalar per-color state indexed at
-    every node (cnt, banned, last_occ, unsat_cnt) is palette-sized.
+    every node (cnt, blocked, last_occ, top) is palette-sized.
 
     Canonical mode (solve, no ``after``; preserves satisfiability and the
     lex-smallest solution but collapses interchangeable branches):
@@ -287,16 +292,19 @@ class _Search:
         for gi, gc in enumerate(self.gcount):
             for c, t in gc.items():
                 self.by_color.setdefault(c, []).append((gi, t))
-        # thresh[c][t]: number of guesses holding exactly t pegs of color c;
-        # drives O(1) maintenance of unsat_cnt below.
-        self.thresh = {c: Counter(t for _, t in row)
-                       for c, row in self.by_color.items()}
+        # top[c]: the most pegs of color c in any guess; a color with
+        # cnt[c] >= top[c] can no longer change any match count (is inert)
+        self.top = [0] * kap1
+        for c, row in self.by_color.items():
+            self.top[c] = max(t for _, t in row)
 
-        self.banned = [False] * kap1
+        # blocked[c]: saturated guesses (match total reached) that hold more
+        # pegs of c than are placed; a guess declared (0, 0) starts saturated
+        self.blocked = [0] * kap1
         for gi, gc in enumerate(self.gcount):
             if self.w_target[gi] == 0:
                 for c in gc:
-                    self.banned[c] = True
+                    self.blocked[c] += 1
 
         # at_pos[i][c]: guesses whose peg at position i is c.
         self.at_pos: list[dict[int, tuple[int, ...]]] = []
@@ -306,12 +314,13 @@ class _Search:
                 here.setdefault(p[i], []).append(gi)
             self.at_pos.append({c: tuple(gs) for c, gs in here.items()})
 
-        # suffix_open[gi][i]: positions >= i where guess gi's peg is not banned.
+        # suffix_open[gi][i]: positions >= i where guess gi's peg is not
+        # blocked from the start.
         self.suffix_open = [[0] * (self.ell + 1) for _ in range(self.n)]
         for gi, p in enumerate(self.pegs):
             acc = 0
             for i in range(self.ell - 1, -1, -1):
-                if not self.banned[p[i]]:
+                if not self.blocked[p[i]]:
                     acc += 1
                 self.suffix_open[gi][i] = acc
 
@@ -325,10 +334,6 @@ class _Search:
         self.cnt = [0] * kap1
         self.b_par = [0] * self.n
         self.m_par = [0] * self.n
-        # unsat_cnt[c]: guesses whose match count would still grow on color c
-        self.unsat_cnt = [0] * kap1
-        for c, row in self.by_color.items():
-            self.unsat_cnt[c] = len(row)
         self.prefix = [0] * self.ell
         self.out: list[Code] = []
         self.limit = 0
@@ -350,13 +355,14 @@ class _Search:
         # and c == lo keeps the prefix tight
         lo = self.after[i] if tight else 1
         for c in range(lo, self.kappa + 1):
-            if self.banned[c]:
+            if self.blocked[c]:
                 continue
             eligible = self.last_occ[c] < i
             if self.canonical and eligible and c < floor_c and self.last_occ[c] < floor_pos:
                 continue
             hits = at_i.get(c, ())
-            if self.canonical and not hits and self.unsat_cnt[c] == 0:
+            inert = self.cnt[c] >= self.top[c]
+            if self.canonical and not hits and inert:
                 if tried_inert:
                     continue
                 tried_inert = True
@@ -369,7 +375,7 @@ class _Search:
             if not ok:
                 continue
             bumps: tuple[int, ...] = ()
-            if self.unsat_cnt[c]:
+            if not inert:
                 csn = self.cnt[c]
                 acc = []
                 for gi, t in self.by_color[c]:
@@ -387,8 +393,6 @@ class _Search:
             for gi in bumps:
                 self.m_par[gi] += 1
             self.cnt[c] += 1
-            if bumps:  # else no guess holds more than cnt[c] pegs of c
-                self.unsat_cnt[c] -= self.thresh[c][self.cnt[c]]
             self.prefix[i] = c
 
             if last:
@@ -399,24 +403,19 @@ class _Search:
                     nf_c, nf_p = c, i  # ascend-only floor update
                 else:
                     nf_c, nf_p = floor_c, floor_pos
-                if self._feasible(i, nf_c, nf_p):
-                    # a guess saturated by this placement bans its unfilled
-                    # colors; that is when the multiset system, checked on
-                    # the residue, tends to become refutable
-                    fire = False
-                    for gi in bumps:
-                        if self.m_par[gi] == self.w_target[gi]:
-                            for c2, t in self.gcount[gi].items():
-                                if t > self.cnt[c2]:
-                                    fire = True
-                                    break
-                        if fire:
-                            break
-                    if not fire or self._residual_feasible(i) is not False:
-                        self._dfs(i + 1, nf_c, nf_p, tight and c == lo)
+                # a guess saturated by this placement blocks its unfilled
+                # colors; that is when the multiset system, checked on the
+                # residue, tends to become refutable
+                newly = [c2 for gi in bumps if self.m_par[gi] == self.w_target[gi]
+                         for c2, t in self.gcount[gi].items() if t > self.cnt[c2]]
+                for c2 in newly:
+                    self.blocked[c2] += 1
+                if self._feasible(i, nf_c, nf_p) and (
+                        not newly or self._residual_feasible(i) is not False):
+                    self._dfs(i + 1, nf_c, nf_p, tight and c == lo)
+                for c2 in newly:
+                    self.blocked[c2] -= 1
 
-            if bumps:
-                self.unsat_cnt[c] += self.thresh[c][self.cnt[c]]
             self.cnt[c] -= 1
             for gi in bumps:
                 self.m_par[gi] -= 1
@@ -438,8 +437,7 @@ class _Search:
         """Can the suffix after position i still reach every declared score?"""
         rem = self.ell - i - 1
         nxt = i + 1
-        cnt, last_occ = self.cnt, self.last_occ
-        blocked: set[int] | None = None
+        cnt, blocked, last_occ = self.cnt, self.blocked, self.last_occ
         for gi in range(self.n):
             if self.b_par[gi] + self.suffix_open[gi][nxt] < self.b_target[gi]:
                 return False
@@ -448,14 +446,12 @@ class _Search:
                 continue
             if need > rem:
                 return False
-            if blocked is None:
-                blocked = self._blocked_colors()
             gain = 0
             for c, t in self.gcount[gi].items():
                 # the ascending stream never revisits colors below the floor
                 # (ascend-only floor updates make this permanent; the floor
                 # stays at 0 outside canonical mode)
-                if c in blocked or (c < floor_c and last_occ[c] < floor_pos):
+                if blocked[c] or (c < floor_c and last_occ[c] < floor_pos):
                     continue
                 d = t - cnt[c]
                 if d > 0:
@@ -475,12 +471,3 @@ class _Search:
                 for gc in self.gcount]
         return _system_feasible(self.kappa, rem, rows, targets,
                                 _RESIDUAL_CHECK_BUDGET)
-
-    def _blocked_colors(self) -> set[int]:
-        """Colors no future placement may use without overshooting a guess."""
-        cnt = self.cnt
-        blocked = set()
-        for gi, gc in enumerate(self.gcount):
-            if self.m_par[gi] == self.w_target[gi]:
-                blocked.update(c for c, t in gc.items() if t > cnt[c])
-        return blocked

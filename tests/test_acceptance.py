@@ -17,7 +17,7 @@ from mspkit.errors import PreconditionError
 from mspkit.reduction import (Graph, brute_force_vertex_cover,
                               construct_witness, extract_cover,
                               is_vertex_cover, reduce_vertex_cover)
-from mspkit.solver import MspInstance, ScoredGuess, enumerate_all, solve, verify
+from mspkit.solver import MspInstance, ScoredGuess, solve, verify
 from mspkit.uniqueness import (is_unique, is_unique_by_followups,
                                score_pairs_excluding_perfect)
 
@@ -221,42 +221,14 @@ def test_criterion_6_witness_soundness(roundtrip_log):
         f"{log.verified_witnesses}/{log.yes_answers} YES answers verified")
 
 
-def test_criterion_7_uniqueness_oracle_agreement():
-    rng = random.Random(SEED)
-    disagreements = 0
-    over_budget = 0
-    for _ in range(500):
-        kappa = rng.randint(1, 3)
-        ell = rng.randint(1, 3)
-        guesses = []
-        for _ in range(rng.randint(0, 3)):
-            pegs = tuple(rng.randint(1, kappa) for _ in range(ell))
-            black = rng.randint(0, ell)
-            white = rng.randint(0, ell - black)
-            guesses.append(ScoredGuess(pegs, Score(black, white)))
-        instance = MspInstance(Palette(kappa), ell, tuple(guesses))
-        report = is_unique(instance)
-        enumerated = enumerate_all(instance, cap=2)
-        if report.unique != (len(enumerated.codes) == 1):
-            disagreements += 1
-        if report.followups_tried > ell * (ell + 3) // 2:
-            over_budget += 1
-    counts_ok = all(
-        len(score_pairs_excluding_perfect(ell)) == ell * (ell + 3) // 2
-        for ell in range(1, 51))
-    ok = disagreements == 0 and over_budget == 0 and counts_ok
-    _report("7 uniqueness oracle agreement", ok,
-            f"500 instances, {disagreements} disagreements; "
-            f"follow-up counts within budget and formula exact for ell 1..50")
-
-
 def test_criterion_7_uniqueness_independent_oracles():
-    # criterion 7's 500 seeded instances, drawn the same way; is_unique runs
-    # on enumerate_all, so here it is checked against the paper's follow-up
-    # loop and against a filter of every code by the scoring function
+    # 500 seeded instances; is_unique runs on enumerate_all, so it is checked
+    # against the paper's follow-up loop and against a filter of every code
+    # by the scoring function, and its follow-up count against the budget
     rng = random.Random(SEED)
     followup_mismatches = []
     filter_mismatches = []
+    over_budget = 0
     for _ in range(500):
         kappa = rng.randint(1, 3)
         ell = rng.randint(1, 3)
@@ -281,11 +253,18 @@ def test_criterion_7_uniqueness_independent_oracles():
                 or report.witness != (fits[0] if fits else None)
                 or report.unique != (len(fits) == 1)):
             filter_mismatches.append((instance, report, fits[:2]))
-    ok = not followup_mismatches and not filter_mismatches
+        if report.followups_tried > ell * (ell + 3) // 2:
+            over_budget += 1
+    counts_ok = all(
+        len(score_pairs_excluding_perfect(ell)) == ell * (ell + 3) // 2
+        for ell in range(1, 51))
+    ok = (not followup_mismatches and not filter_mismatches
+          and over_budget == 0 and counts_ok)
     _report("7 uniqueness against independent oracles", ok,
             f"500 instances, {len(followup_mismatches)} disagreements with "
             f"is_unique_by_followups, {len(filter_mismatches)} with the "
-            f"brute-force filter")
+            f"brute-force filter; {over_budget} follow-up counts over budget, "
+            f"formula {'exact' if counts_ok else 'wrong'} for ell 1..50")
 
 
 def _hub_graph(rng, nv, ne, hubs):

@@ -13,7 +13,8 @@ from mspkit.errors import InvalidInputError, ResourceLimitError
 from mspkit.reduction import Graph, reduce_vertex_cover
 from mspkit.solver import (DEFAULT_EXHAUSTIVE_CAP, Enumeration, MspInstance,
                            ScoredGuess, SolveOutcome, _multiset_feasible,
-                           enumerate_all, solve, verify)
+                           _Search, enumerate_all, solve, verify)
+from test_uniqueness import games
 
 
 def instances(max_kappa=3, max_len=4, max_guesses=3):
@@ -201,12 +202,9 @@ def test_witnesses_verify(instance):
 @settings(max_examples=200, deadline=None)
 @given(instances())
 def test_witness_is_first_enumerated(instance):
-    outcome = solve(instance)
-    enumerated = enumerate_all(instance, cap=1)
-    if outcome.satisfiable:
-        assert enumerated.codes == (outcome.witness,)
-    else:
-        assert enumerated.codes == ()
+    first = brute_solutions(instance)[:1]
+    assert solve(instance).witness == (first[0] if first else None)
+    assert enumerate_all(instance, cap=1).codes == first
 
 
 @settings(max_examples=200, deadline=None)
@@ -287,3 +285,58 @@ def test_enumeration_past_the_witness_finishes_on_dense_reduction(layout):
     assert result.codes[0] == witness
     assert all(a < b for a, b in zip(result.codes, result.codes[1:]))
     assert all(verify(instance, code) for code in result.codes)
+
+
+def check_search_state(search):
+    """blocked and top against their definitions, from the current state."""
+    cnt = search.cnt
+    saturated = [gc for gc, m, w in zip(search.gcount, search.m_par, search.w_target)
+                 if m == w]
+    for c in range(1, search.kappa + 1):
+        assert search.blocked[c] == sum(gc[c] > cnt[c] for gc in saturated), c
+        assert (cnt[c] >= search.top[c]) == all(gc[c] <= cnt[c] for gc in search.gcount), c
+
+
+@contextmanager
+def search_state_checked():
+    """Run check_search_state at every node of every search in the body."""
+    feasible = _Search._feasible
+
+    def checked(self, *args):
+        check_search_state(self)
+        return feasible(self, *args)
+
+    _Search._feasible = checked
+    try:
+        yield
+    finally:
+        _Search._feasible = feasible
+
+
+@st.composite
+def small_reductions(draw):
+    """Vertex-cover reductions of graphs with at most 6 vertices."""
+    nv = draw(st.integers(2, 6))
+    pairs = list(itertools.combinations(range(1, nv + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    n = draw(st.integers(1, nv))
+    layout = draw(st.sampled_from(["standard", "compact"]))
+    return reduce_vertex_cover(Graph(nv, tuple(edges)), n, layout).instance
+
+
+# A blocked count that runs low prunes less but removes no solution, so the
+# answer tests cannot see it; these check the counts themselves.
+@settings(max_examples=150, deadline=None)
+@given(games())
+def test_blocked_and_inert_colors_match_their_definitions_on_games(instance):
+    with search_state_checked():
+        solve(instance)
+        enumerate_all(instance, cap=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_reductions())
+def test_blocked_and_inert_colors_match_their_definitions_on_reductions(instance):
+    with search_state_checked():
+        solve(instance)
+        enumerate_all(instance, cap=3)
