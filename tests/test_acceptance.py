@@ -221,14 +221,15 @@ def test_criterion_6_witness_soundness(roundtrip_log):
         f"{log.verified_witnesses}/{log.yes_answers} YES answers verified")
 
 
-def test_criterion_7_uniqueness_independent_oracles():
-    # 500 seeded instances; is_unique runs on enumerate_all, so it is checked
-    # against the paper's follow-up loop and against a filter of every code
-    # by the scoring function, and its follow-up count against the budget
+@pytest.fixture(scope="module")
+def uniqueness_cases():
+    """Criterion 7's 500 seeded instances, drawn once for both of its tests.
+
+    Each case is ``(instance, report, fits)``: the ``is_unique`` report and
+    every code that a filter by the scoring function accepts, in order.
+    """
     rng = random.Random(SEED)
-    followup_mismatches = []
-    filter_mismatches = []
-    over_budget = 0
+    cases = []
     for _ in range(500):
         kappa = rng.randint(1, 3)
         ell = rng.randint(1, 3)
@@ -240,31 +241,54 @@ def test_criterion_7_uniqueness_independent_oracles():
             guesses.append(ScoredGuess(pegs, Score(black, white)))
         palette = Palette(kappa)
         instance = MspInstance(palette, ell, tuple(guesses))
-        report = is_unique(instance)
-        oracle = is_unique_by_followups(instance)
-        if (report.satisfiable, report.unique, report.witness) != (
-                oracle.satisfiable, oracle.unique, oracle.witness) \
-                or oracle.followups_tried > report.followups_tried:
-            followup_mismatches.append((instance, report, oracle))
         fits = [code for code in itertools.product(range(1, kappa + 1), repeat=ell)
                 if all(score(sg.guess, code, palette) == sg.declared
                        for sg in guesses)]
-        if (report.satisfiable != bool(fits)
-                or report.witness != (fits[0] if fits else None)
-                or report.unique != (len(fits) == 1)):
-            filter_mismatches.append((instance, report, fits[:2]))
+        cases.append((instance, is_unique(instance), fits))
+    return cases
+
+
+def test_criterion_7_uniqueness_oracle_agreement(uniqueness_cases):
+    # is_unique's verdict against the number of codes the brute-force filter
+    # accepts, and every follow-up count against the ell(ell+3)/2 budget
+    disagreements = 0
+    over_budget = 0
+    for instance, report, fits in uniqueness_cases:
+        if report.unique != (len(fits) == 1):
+            disagreements += 1
+        ell = instance.length
         if report.followups_tried > ell * (ell + 3) // 2:
             over_budget += 1
     counts_ok = all(
         len(score_pairs_excluding_perfect(ell)) == ell * (ell + 3) // 2
         for ell in range(1, 51))
-    ok = (not followup_mismatches and not filter_mismatches
-          and over_budget == 0 and counts_ok)
-    _report("7 uniqueness against independent oracles", ok,
-            f"500 instances, {len(followup_mismatches)} disagreements with "
-            f"is_unique_by_followups, {len(filter_mismatches)} with the "
-            f"brute-force filter; {over_budget} follow-up counts over budget, "
+    ok = disagreements == 0 and over_budget == 0 and counts_ok
+    _report("7 uniqueness oracle agreement", ok,
+            f"{len(uniqueness_cases)} instances, {disagreements} "
+            f"disagreements; {over_budget} follow-up counts over budget, "
             f"formula {'exact' if counts_ok else 'wrong'} for ell 1..50")
+
+
+def test_criterion_7_uniqueness_independent_oracles(uniqueness_cases):
+    # is_unique runs on enumerate_all, so it is checked against the paper's
+    # follow-up loop and against the brute-force filter, witness included
+    followup_mismatches = []
+    filter_mismatches = []
+    for instance, report, fits in uniqueness_cases:
+        oracle = is_unique_by_followups(instance)
+        if (report.satisfiable, report.unique, report.witness) != (
+                oracle.satisfiable, oracle.unique, oracle.witness) \
+                or oracle.followups_tried > report.followups_tried:
+            followup_mismatches.append((instance, report, oracle))
+        if (report.satisfiable != bool(fits)
+                or report.witness != (fits[0] if fits else None)
+                or report.unique != (len(fits) == 1)):
+            filter_mismatches.append((instance, report, fits[:2]))
+    ok = not followup_mismatches and not filter_mismatches
+    _report("7 uniqueness against independent oracles", ok,
+            f"{len(uniqueness_cases)} instances, {len(followup_mismatches)} "
+            f"disagreements with is_unique_by_followups, "
+            f"{len(filter_mismatches)} with the brute-force filter")
 
 
 def _hub_graph(rng, nv, ne, hubs):
