@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .core import Code, Palette, score
-from .errors import InvalidInputError, ParseError, ResourceLimitError
+from .errors import InvalidInputError, ParseError, PreconditionError, ResourceLimitError
 from .io import parse_graph, parse_instance, serialize_instance
 from .reduction import (Graph, brute_force_vertex_cover, construct_witness,
                         extract_cover, is_vertex_cover, reduce_vertex_cover)
@@ -137,7 +137,10 @@ def _roundtrip_row(graph: Graph, n: int) -> tuple[str, bool]:
 
     def run(variant: str) -> str:
         nonlocal agree
-        artifact = reduce_vertex_cover(graph, n, variant)
+        try:
+            artifact = reduce_vertex_cover(graph, n, variant)
+        except PreconditionError:  # the layout does not encode this cover size
+            return "-"
         outcome = solve(artifact.instance)
         if outcome.satisfiable != vc:
             agree = False
@@ -147,10 +150,7 @@ def _roundtrip_row(graph: Graph, n: int) -> tuple[str, bool]:
                 agree = False
         return "yes" if outcome.satisfiable else "no"
 
-    std = run("standard")
-    compact = "-"
-    if n != graph.vertex_count or n > 1:
-        compact = run("compact")
+    std, compact = run("standard"), run("compact")
     word = {True: "yes", False: "no"}[vc]
     row = f"{n} {word} {std} {compact} {'yes' if agree else 'MISMATCH'}"
     return row, agree

@@ -15,10 +15,10 @@ produced every declared score.  Two engines decide this:
   subtrees early; it only ever prunes on proof.
 
 Color counts are sparse throughout: a guess's counts are a Counter over the
-colors it holds, and the multiset checks search only the colors some guess
-uses, so their cost scales with those colors, not with kappa.  The search's
-set-up builds the same sparse structures plus four flat per-color counters
-(cnt, blocked, last_occ, top), and each search node scans the palette.
+colors it holds, which the multiset checks read as per-color columns
+(_columns, built once per search) over the colors some guess uses, so their
+cost scales with those colors, not with kappa.  The search adds four flat
+per-color counters (cnt, blocked, last_occ, top); each node scans the palette.
 
 Both engines return identical answers and witnesses; the test suite enforces
 this differentially.
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from operator import eq
 from typing import Iterator, NamedTuple
 
@@ -136,8 +137,7 @@ _MULTISET_CHECK_BUDGET = 200_000
 _RESIDUAL_CHECK_BUDGET = 50_000
 
 
-def _multiset_feasible(instance: MspInstance,
-                       budget: int = _MULTISET_CHECK_BUDGET) -> bool | None:
+def _multiset_feasible(instance: MspInstance) -> bool | None:
     """Does any color multiset hit every guess's declared match total?
 
     A solution's multiset must satisfy, for every guess g,
@@ -148,37 +148,54 @@ def _multiset_feasible(instance: MspInstance,
     refutations of dense cover encodings cheap: the shared vertex budget and
     the per-edge totals conflict at this level already.
     """
-    rows = [Counter(sg.guess) for sg in instance.guesses]
-    targets = [sg.declared.black + sg.declared.white for sg in instance.guesses]
-    return _system_feasible(instance.kappa, instance.length, rows, targets, budget)
+    cols = _columns([Counter(sg.guess) for sg in instance.guesses])
+    targets = [sg.declared.color_matches for sg in instance.guesses]
+    return _system_feasible(instance.kappa, instance.length, cols, Counter(),
+                            targets, _MULTISET_CHECK_BUDGET)
 
 
-def _system_feasible(kappa: int, ell: int, rows: list[dict[int, int]],
-                     targets: list[int], budget: int) -> bool | None:
+def _columns(counts: list[Counter]) -> dict[int, list[tuple[int, int]]]:
+    """Per-color columns, colors ascending: c -> [(g, pegs of c in guess g)]."""
+    cols: dict[int, list[tuple[int, int]]] = {}
+    for gi, gc in enumerate(counts):
+        for c, t in gc.items():
+            cols.setdefault(c, []).append((gi, t))
+    return dict(sorted(cols.items()))
+
+
+def _system_feasible(kappa: int, ell: int, cols: dict[int, list[tuple[int, int]]],
+                     placed: Counter | list[int], targets: list[int], budget: int) -> bool | None:
     """Core of the multiset check: exists k >= 0 per color with
-    sum(k) == ell and sum_c min(k_c, rows[g][c]) == targets[g] for all g,
-    where ``rows[g]`` maps each color to its count in guess g.
+    sum(k) == ell and sum_c min(k_c, r_gc) == targets[g] for all g, where
+    r_gc = max(t_gc - placed[c], 0) is what is left of guess g's count
+    t_gc of color c (``cols``, see _columns) once ``placed[c]`` copies of
+    c are placed.
 
-    Only the live colors (held by some row and by no target-0 row) are
+    Only the live colors (left in some guess and in no target-0 guess) are
     searched; any other color adds no match and can only pad the total.
     Returns False only on proof of infeasibility.
     """
-    # a color held by a target-0 row can never be used; leaving it out of
-    # every row keeps the reach bounds honest about that
-    dead = {c for row, t in zip(rows, targets) if t == 0 for c in row}
-    by_color: dict[int, list[tuple[int, int]]] = {}
+    levels = []
     # rest[g]: match total still obtainable from colors not yet decided
-    rest = [0] * len(rows)
-    for gi, row in enumerate(rows):
-        for c, t in row.items():
-            if c not in dead:
-                by_color.setdefault(c, []).append((gi, t))
-                rest[gi] += t
+    rest = [0] * len(targets)
+    held = 0  # colors left in some guess
+    for c, col in cols.items():
+        pc = placed[c]
+        # with nothing placed, the column is already the residual row
+        row = [(gi, t - pc) for gi, t in col if t > pc] if pc else col
+        if not row:
+            continue
+        held += 1
+        # a color left in a target-0 guess can never be used; leaving it
+        # out of every row keeps the reach bounds honest about that
+        if any(targets[gi] == 0 for gi, _ in row):
+            continue
+        for gi, r in row:
+            rest[gi] += r
+        levels.append((row, max(r for _, r in row)))
     if any(r < t for r, t in zip(rest, targets)):
         return False
-    levels = [(row, max(t for _, t in row))
-              for _, row in sorted(by_color.items())]
-    running = [0] * len(rows)
+    running = [0] * len(targets)
     steps = 0
 
     def dfs(j: int, total: int, inflatable: bool) -> bool | None:
@@ -211,25 +228,19 @@ def _system_feasible(kappa: int, ell: int, rows: list[dict[int, int]],
             rest[gi] += t
         return False
 
-    # inflatable: some color can take copies that add no match; an unused
-    # color can, and so can a live one once it reaches its top count
-    return dfs(0, 0, len(by_color) + len(dead) < kappa)
-
-
-def _all_codes(instance: MspInstance, cap: int) -> Iterator[Code]:
-    total = instance.kappa ** instance.length
-    if total > cap:
-        raise ResourceLimitError(
-            f"exhaustive search over {total} candidates exceeds cap {cap}"
-        )
-    from itertools import product
-
-    return product(range(1, instance.kappa + 1), repeat=instance.length)
+    # inflatable: some color can take copies that add no match; a color left
+    # in no guess can, and so can a live one once it reaches its top count
+    return dfs(0, 0, held < kappa)
 
 
 def _sweep(instance: MspInstance, cap: int) -> Iterator[Code]:
-    """Every solution in lexicographic order, by checking every candidate."""
-    return (code for code in _all_codes(instance, cap) if verify(instance, code))
+    """Every solution in lexicographic order, by checking every candidate;
+    raises ResourceLimitError at once if there are more than ``cap``."""
+    total = instance.kappa ** instance.length
+    if total > cap:
+        raise ResourceLimitError(f"exhaustive search over {total} candidates exceeds cap {cap}")
+    codes = product(range(1, instance.kappa + 1), repeat=instance.length)
+    return (code for code in codes if verify(instance, code))
 
 
 class _Search:
@@ -252,7 +263,10 @@ class _Search:
 
     Per-guess color counts and the per-color guess lists are sparse (the
     colors the guesses hold); only the scalar per-color state indexed at
-    every node (cnt, blocked, last_occ, top) is palette-sized.
+    every node (cnt, blocked, last_occ, top) is palette-sized.  The guess
+    lists (by_color) are also the residual checks' columns, with cnt placed.
+    Every position, the last too, takes one placement step: with no position
+    left, _feasible holds exactly when every declared score is met.
 
     Canonical mode (solve, no ``after``; preserves satisfiability and the
     lex-smallest solution but collapses interchangeable branches):
@@ -283,15 +297,12 @@ class _Search:
 
         self.pegs = [sg.guess for sg in guesses]
         self.b_target = [sg.declared.black for sg in guesses]
-        self.w_target = [sg.declared.black + sg.declared.white for sg in guesses]
+        self.w_target = [sg.declared.color_matches for sg in guesses]
 
         # gcount[gi][c]: pegs of color c in guess gi (colors it holds only)
         self.gcount = [Counter(p) for p in self.pegs]
         # by_color[c]: (guess, its peg count of c) for every guess holding c
-        self.by_color: dict[int, list[tuple[int, int]]] = {}
-        for gi, gc in enumerate(self.gcount):
-            for c, t in gc.items():
-                self.by_color.setdefault(c, []).append((gi, t))
+        self.by_color = _columns(self.gcount)
         # top[c]: the most pegs of color c in any guess; a color with
         # cnt[c] >= top[c] can no longer change any match count (is inert)
         self.top = [0] * kap1
@@ -346,8 +357,8 @@ class _Search:
             self._dfs(0, 0, -1, not self.canonical)
 
     def _dfs(self, i: int, floor_c: int, floor_pos: int, tight: bool) -> None:
-        # floor starts at (0, -1): no color is below it and no position is
-        # before it, so nothing is skipped until a stream placement occurs.
+        # the floor starts at (0, -1), below every color and position, and
+        # only canonical stream placements raise it; until then nothing is skipped
         last = i + 1 == self.ell
         at_i = self.at_pos[i]
         tried_inert = False
@@ -358,7 +369,7 @@ class _Search:
             if self.blocked[c]:
                 continue
             eligible = self.last_occ[c] < i
-            if self.canonical and eligible and c < floor_c and self.last_occ[c] < floor_pos:
+            if eligible and c < floor_c and self.last_occ[c] < floor_pos:
                 continue
             hits = at_i.get(c, ())
             inert = self.cnt[c] >= self.top[c]
@@ -395,26 +406,25 @@ class _Search:
             self.cnt[c] += 1
             self.prefix[i] = c
 
-            if last:
-                if self._exact() and not (tight and c == lo):
-                    self.out.append(tuple(self.prefix))
+            if self.canonical and eligible and c >= floor_c:
+                nf_c, nf_p = c, i  # ascend-only floor update
             else:
-                if self.canonical and eligible and c >= floor_c:
-                    nf_c, nf_p = c, i  # ascend-only floor update
-                else:
-                    nf_c, nf_p = floor_c, floor_pos
-                # a guess saturated by this placement blocks its unfilled
-                # colors; that is when the multiset system, checked on the
-                # residue, tends to become refutable
-                newly = [c2 for gi in bumps if self.m_par[gi] == self.w_target[gi]
-                         for c2, t in self.gcount[gi].items() if t > self.cnt[c2]]
-                for c2 in newly:
-                    self.blocked[c2] += 1
-                if self._feasible(i, nf_c, nf_p) and (
-                        not newly or self._residual_feasible(i) is not False):
+                nf_c, nf_p = floor_c, floor_pos
+            # a guess saturated by this placement blocks its unfilled
+            # colors; that is when the multiset system, checked on the
+            # residue, tends to become refutable
+            newly = [c2 for gi in bumps if self.m_par[gi] == self.w_target[gi]
+                     for c2, t in self.gcount[gi].items() if t > self.cnt[c2]]
+            for c2 in newly:
+                self.blocked[c2] += 1
+            if self._feasible(i, nf_c, nf_p) and (
+                    last or not newly or self._residual_feasible(i) is not False):
+                if not last:
                     self._dfs(i + 1, nf_c, nf_p, tight and c == lo)
-                for c2 in newly:
-                    self.blocked[c2] -= 1
+                elif not (tight and c == lo):
+                    self.out.append(tuple(self.prefix))
+            for c2 in newly:
+                self.blocked[c2] -= 1
 
             self.cnt[c] -= 1
             for gi in bumps:
@@ -424,14 +434,6 @@ class _Search:
 
             if len(self.out) >= self.limit:
                 return
-
-    def _exact(self) -> bool:
-        b_par, m_par = self.b_par, self.m_par
-        b_t, w_t = self.b_target, self.w_target
-        for gi in range(self.n):
-            if b_par[gi] != b_t[gi] or m_par[gi] != w_t[gi]:
-                return False
-        return True
 
     def _feasible(self, i: int, floor_c: int, floor_pos: int) -> bool:
         """Can the suffix after position i still reach every declared score?"""
@@ -464,10 +466,6 @@ class _Search:
 
     def _residual_feasible(self, i: int) -> bool | None:
         """Multiset check on what is left after position i; False is a proof."""
-        rem = self.ell - i - 1
-        cnt = self.cnt
-        targets = [self.w_target[gi] - self.m_par[gi] for gi in range(self.n)]
-        rows = [{c: t - cnt[c] for c, t in gc.items() if t > cnt[c]}
-                for gc in self.gcount]
-        return _system_feasible(self.kappa, rem, rows, targets,
-                                _RESIDUAL_CHECK_BUDGET)
+        targets = [w - m for w, m in zip(self.w_target, self.m_par)]
+        return _system_feasible(self.kappa, self.ell - i - 1, self.by_color,
+                                self.cnt, targets, _RESIDUAL_CHECK_BUDGET)

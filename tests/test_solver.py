@@ -247,6 +247,37 @@ def test_root_check_refutes_exactly_the_infeasible_multiset_systems(instance):
     assert (_multiset_feasible(instance) is False) == (not feasible)
 
 
+@settings(max_examples=150, deadline=None)
+@given(games(max_len=6, max_guesses=6))
+def test_residual_check_refutes_exactly_the_infeasible_residues(instance):
+    # the root check sees nothing placed; this checks what the search hands
+    # the residual check, rebuilt from the placed prefix alone (codes of 6
+    # and 6 guesses give several times the refutations of the default games)
+    guesses = [(Counter(sg.guess), sg.declared.color_matches)
+               for sg in instance.guesses]
+    residual = _Search._residual_feasible
+
+    def checked(self, i):
+        verdict = residual(self, i)
+        if verdict is not None:
+            placed = Counter(self.prefix[:i + 1])
+            left = [(gc - placed, t - sum((gc & placed).values()))
+                    for gc, t in guesses]
+            feasible = any(
+                all(sum((gc & Counter(ms)).values()) == t for gc, t in left)
+                for ms in itertools.combinations_with_replacement(
+                    range(1, instance.kappa + 1), instance.length - i - 1))
+            assert (verdict is False) == (not feasible), self.prefix[:i + 1]
+        return verdict
+
+    _Search._residual_feasible = checked
+    try:
+        solve(instance)
+        enumerate_all(instance, cap=3)
+    finally:
+        _Search._residual_feasible = residual
+
+
 @given(st.integers(1, 3), st.integers(1, 4))
 def test_near_perfect_single_white_is_impossible(kappa, ell):
     # (ell-1, 1) forces ell-1 exact matches plus one color match that is
