@@ -16,8 +16,8 @@ from pathlib import Path
 from .core import Code, Palette, score
 from .errors import InvalidInputError, ParseError, PreconditionError, ResourceLimitError
 from .io import parse_graph, parse_instance, serialize_instance
-from .reduction import (Graph, brute_force_vertex_cover, construct_witness,
-                        extract_cover, is_vertex_cover, reduce_vertex_cover)
+from .reduction import (Graph, brute_force_vertex_cover, extract_cover,
+                        is_vertex_cover, reduce_vertex_cover)
 from .solver import DEFAULT_EXHAUSTIVE_CAP, MODES, enumerate_all, solve, verify
 from .uniqueness import is_unique
 

@@ -14,11 +14,10 @@ produced every declared score.  Two engines decide this:
   _multiset_feasible) that refutes many instances outright and cuts doomed
   subtrees early; it only ever prunes on proof.
 
-Color counts are sparse throughout: a guess's counts are a Counter over the
-colors it holds, which the multiset checks read as per-color columns
-(_columns, built once per search) over the colors some guess uses, so their
-cost scales with those colors, not with kappa.  The search adds four flat
-per-color counters (cnt, blocked, last_occ, top); each node scans the palette.
+Nothing in the backtracking engine grows with kappa.  A guess's counts are a
+Counter over the colors it holds, read by the multiset checks as per-color
+columns (_columns, built once per search).  The search works over slots: one
+per color some guess holds and one per maximal run of colors no guess holds.
 
 Both engines return identical answers and witnesses; the test suite enforces
 this differentially.
@@ -26,6 +25,7 @@ this differentially.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -246,6 +246,10 @@ def _sweep(instance: MspInstance, cap: int) -> Iterator[Code]:
 class _Search:
     """Shared depth-first engine for solve() and enumerate_all().
 
+    Per-color state is kept per slot (see the module docstring).  A
+    placement updates the counts once per slot; only writing the prefix
+    loops over the slot's colors, ascending, so codes keep palette order.
+
     Pruning (always on; removes no solutions):
 
     * black counts: a partial assignment may never exceed a guess's declared
@@ -260,23 +264,22 @@ class _Search:
       blocked color is never placed, the count changes only when a
       placement saturates a guess, which is also when the residual
       multiset check runs.
+    * idle placements: an inert color (see top) with no guess peg at the
+      position changes no count, so all such placements at a node lead to
+      one subtree; once one adds no solution from a prefix that is not
+      tight (see below), the rest are skipped.
 
-    Per-guess color counts and the per-color guess lists are sparse (the
-    colors the guesses hold); only the scalar per-color state indexed at
-    every node (cnt, blocked, last_occ, top) is palette-sized.  The guess
-    lists (by_color) are also the residual checks' columns, with cnt placed.
-    Every position, the last too, takes one placement step: with no position
-    left, _feasible holds exactly when every declared score is met.
+    The guess lists (by_color) are also the residual checks' columns, with
+    cnt placed.  Every position, the last too, takes one placement step:
+    with no position left, _feasible holds exactly when every declared
+    score is met.
 
     Canonical mode (solve, no ``after``; preserves satisfiability and the
-    lex-smallest solution but collapses interchangeable branches):
-
-    * inert dedup: colors that can no longer change any black or match count
-      lead to identical subtrees, so only the smallest is tried per node.
-    * ascending stream: once a color has no positional occurrence ahead it
-      is order-interchangeable with later such colors; a (floor value,
-      floor position) pair with ascend-only updates skips placements that a
-      value swap would turn into a lex-smaller solution.
+    lex-smallest solution but collapses interchangeable branches): once a
+    color has no positional occurrence ahead it is order-interchangeable
+    with later such colors; a (floor value, floor position) pair with
+    ascend-only updates skips placements that a value swap would turn into
+    a lex-smaller solution.
 
     Non-canonical mode (enumerate_all, ``after`` given) visits every
     solution lexicographically greater than ``after`` exactly once.  While
@@ -288,42 +291,50 @@ class _Search:
 
     def __init__(self, instance: MspInstance, after: Code | None = None):
         self.ell = instance.length
-        self.kappa = instance.palette.kappa
         self.after = after
         self.canonical = after is None
         guesses = instance.guesses
         self.n = len(guesses)
-        kap1 = self.kappa + 1
 
-        self.pegs = [sg.guess for sg in guesses]
+        # slots[s]: the colors of slot s (slot 0 is a placeholder); a held
+        # color starts a slot, and so do color 1 and the color after a held one
+        held = {c for sg in guesses for c in sg.guess}
+        first = [0, *sorted(held | {c + 1 for c in held} | {1, instance.kappa + 1})]
+        self.slots = list(map(range, first, first[1:]))
+        self.nslots = len(self.slots) - 1
+        slot = {c: s for s, c in enumerate(first)}
+        self.after_slot = [bisect_right(first, c) - 1 for c in after or ()]
+
+        # lists, not tuples: freed short tuples stay on per-length free lists
+        self.pegs = [list(map(slot.__getitem__, sg.guess)) for sg in guesses]
         self.b_target = [sg.declared.black for sg in guesses]
         self.w_target = [sg.declared.color_matches for sg in guesses]
 
-        # gcount[gi][c]: pegs of color c in guess gi (colors it holds only)
+        # gcount[gi][s]: pegs of slot s in guess gi (slots it holds only)
         self.gcount = [Counter(p) for p in self.pegs]
-        # by_color[c]: (guess, its peg count of c) for every guess holding c
+        # by_color[s]: (guess, its peg count of s) for every guess holding s
         self.by_color = _columns(self.gcount)
-        # top[c]: the most pegs of color c in any guess; a color with
-        # cnt[c] >= top[c] can no longer change any match count (is inert)
-        self.top = [0] * kap1
-        for c, row in self.by_color.items():
-            self.top[c] = max(t for _, t in row)
+        # top[s]: the most pegs of slot s in any guess; a slot with
+        # cnt[s] >= top[s] can no longer change any match count (is inert)
+        self.top = [0] * len(self.slots)
+        for s, row in self.by_color.items():
+            self.top[s] = max(t for _, t in row)
 
-        # blocked[c]: saturated guesses (match total reached) that hold more
-        # pegs of c than are placed; a guess declared (0, 0) starts saturated
-        self.blocked = [0] * kap1
+        # blocked[s]: saturated guesses (match total reached) that hold more
+        # pegs of s than are placed; a guess declared (0, 0) starts saturated
+        self.blocked = [0] * len(self.slots)
         for gi, gc in enumerate(self.gcount):
             if self.w_target[gi] == 0:
-                for c in gc:
-                    self.blocked[c] += 1
+                for s in gc:
+                    self.blocked[s] += 1
 
-        # at_pos[i][c]: guesses whose peg at position i is c.
+        # at_pos[i][s]: guesses whose peg at position i is s.
         self.at_pos: list[dict[int, tuple[int, ...]]] = []
         for i in range(self.ell):
             here: dict[int, list[int]] = {}
             for gi, p in enumerate(self.pegs):
                 here.setdefault(p[i], []).append(gi)
-            self.at_pos.append({c: tuple(gs) for c, gs in here.items()})
+            self.at_pos.append({s: tuple(gs) for s, gs in here.items()})
 
         # suffix_open[gi][i]: positions >= i where guess gi's peg is not
         # blocked from the start.
@@ -335,14 +346,13 @@ class _Search:
                     acc += 1
                 self.suffix_open[gi][i] = acc
 
-        self.last_occ = [-1] * kap1
-        for p in self.pegs:
-            for i, c in enumerate(p):
-                if i > self.last_occ[c]:
-                    self.last_occ[c] = i
+        self.last_occ = [-1] * len(self.slots)
+        for i, here in enumerate(self.at_pos):
+            for s in here:
+                self.last_occ[s] = i
 
         # mutable search state
-        self.cnt = [0] * kap1
+        self.cnt = [0] * len(self.slots)
         self.b_par = [0] * self.n
         self.m_par = [0] * self.n
         self.prefix = [0] * self.ell
@@ -357,26 +367,25 @@ class _Search:
             self._dfs(0, 0, -1, not self.canonical)
 
     def _dfs(self, i: int, floor_c: int, floor_pos: int, tight: bool) -> None:
-        # the floor starts at (0, -1), below every color and position, and
+        # the floor starts at (0, -1), below every slot and position, and
         # only canonical stream placements raise it; until then nothing is skipped
         last = i + 1 == self.ell
         at_i = self.at_pos[i]
-        tried_inert = False
+        idle_empty = False
         # on a tight prefix only colors from after[i] up lead past ``after``,
         # and c == lo keeps the prefix tight
         lo = self.after[i] if tight else 1
-        for c in range(lo, self.kappa + 1):
-            if self.blocked[c]:
+        for s in range(self.after_slot[i] if tight else 1, self.nslots + 1):
+            if self.blocked[s]:
                 continue
-            eligible = self.last_occ[c] < i
-            if eligible and c < floor_c and self.last_occ[c] < floor_pos:
+            eligible = self.last_occ[s] < i
+            if eligible and s < floor_c and self.last_occ[s] < floor_pos:
                 continue
-            hits = at_i.get(c, ())
-            inert = self.cnt[c] >= self.top[c]
-            if self.canonical and not hits and inert:
-                if tried_inert:
-                    continue
-                tried_inert = True
+            hits = at_i.get(s, ())
+            inert = self.cnt[s] >= self.top[s]
+            idle = inert and not hits
+            if idle and idle_empty:
+                continue
 
             ok = True
             for gi in hits:
@@ -385,48 +394,54 @@ class _Search:
                     break
             if not ok:
                 continue
-            bumps: tuple[int, ...] = ()
+            # as s is not blocked, none of the guesses it bumps is saturated
+            bumps = []
             if not inert:
-                csn = self.cnt[c]
-                acc = []
-                for gi, t in self.by_color[c]:
-                    if t > csn:
-                        if self.m_par[gi] + 1 > self.w_target[gi]:
-                            ok = False
-                            break
-                        acc.append(gi)
-                if not ok:
-                    continue
-                bumps = tuple(acc)
+                for gi, t in self.by_color[s]:
+                    if t > self.cnt[s]:
+                        bumps.append(gi)
 
             for gi in hits:
                 self.b_par[gi] += 1
             for gi in bumps:
                 self.m_par[gi] += 1
-            self.cnt[c] += 1
-            self.prefix[i] = c
+            self.cnt[s] += 1
+            colors = self.slots[s]
+            if lo > colors.start:  # lo's slot, on a tight prefix
+                colors = range(lo, colors.stop)
+            self.prefix[i] = colors.start
 
-            if self.canonical and eligible and c >= floor_c:
-                nf_c, nf_p = c, i  # ascend-only floor update
+            if self.canonical and eligible and s >= floor_c:
+                nf_c, nf_p = s, i  # ascend-only floor update
             else:
                 nf_c, nf_p = floor_c, floor_pos
             # a guess saturated by this placement blocks its unfilled
-            # colors; that is when the multiset system, checked on the
+            # slots; that is when the multiset system, checked on the
             # residue, tends to become refutable
-            newly = [c2 for gi in bumps if self.m_par[gi] == self.w_target[gi]
-                     for c2, t in self.gcount[gi].items() if t > self.cnt[c2]]
-            for c2 in newly:
-                self.blocked[c2] += 1
-            if self._feasible(i, nf_c, nf_p) and (
-                    last or not newly or self._residual_feasible(i) is not False):
-                if not last:
-                    self._dfs(i + 1, nf_c, nf_p, tight and c == lo)
-                elif not (tight and c == lo):
-                    self.out.append(tuple(self.prefix))
-            for c2 in newly:
-                self.blocked[c2] -= 1
+            newly = [s2 for gi in bumps if self.m_par[gi] == self.w_target[gi]
+                     for s2, t in self.gcount[gi].items() if t > self.cnt[s2]]
+            for s2 in newly:
+                self.blocked[s2] += 1
+            ok = self._feasible(i, nf_c, nf_p) and (
+                last or not newly or self._residual_feasible(i) is not False)
+            seen = len(self.out)  # an idle placement that adds nothing ends the slot
+            for c in colors:
+                child_tight = tight and c == lo
+                if ok:
+                    self.prefix[i] = c
+                    if not last:
+                        self._dfs(i + 1, nf_c, nf_p, child_tight)
+                    elif not child_tight:
+                        self.out.append(tuple(self.prefix))
+                if len(self.out) >= self.limit:
+                    break
+                if idle and len(self.out) == seen and not child_tight:
+                    idle_empty = True
+                    break
+            for s2 in newly:
+                self.blocked[s2] -= 1
 
-            self.cnt[c] -= 1
+            self.cnt[s] -= 1
             for gi in bumps:
                 self.m_par[gi] -= 1
             for gi in hits:
@@ -449,13 +464,13 @@ class _Search:
             if need > rem:
                 return False
             gain = 0
-            for c, t in self.gcount[gi].items():
-                # the ascending stream never revisits colors below the floor
+            for s, t in self.gcount[gi].items():
+                # the ascending stream never revisits slots below the floor
                 # (ascend-only floor updates make this permanent; the floor
                 # stays at 0 outside canonical mode)
-                if blocked[c] or (c < floor_c and last_occ[c] < floor_pos):
+                if blocked[s] or (s < floor_c and last_occ[s] < floor_pos):
                     continue
-                d = t - cnt[c]
+                d = t - cnt[s]
                 if d > 0:
                     gain += d
                     if gain >= need:
@@ -467,5 +482,5 @@ class _Search:
     def _residual_feasible(self, i: int) -> bool | None:
         """Multiset check on what is left after position i; False is a proof."""
         targets = [w - m for w, m in zip(self.w_target, self.m_par)]
-        return _system_feasible(self.kappa, self.ell - i - 1, self.by_color,
+        return _system_feasible(self.nslots, self.ell - i - 1, self.by_color,
                                 self.cnt, targets, _RESIDUAL_CHECK_BUDGET)

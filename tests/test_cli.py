@@ -11,6 +11,7 @@ from mspkit.cli import (EXIT_INTERNAL, EXIT_NO, EXIT_RESOURCE, EXIT_USAGE,
                         EXIT_YES, main)
 from mspkit.io import parse_instance
 from mspkit.solver import verify
+from test_solver import time_limit
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -139,6 +140,37 @@ class TestInternalError:
             assert verify(parse_instance(inst.read_text()), witness)
         else:
             assert err.startswith("error: internal error: ")
+
+
+class TestHugePalette:
+    """A billion colors and one guess: nothing in the search scans the palette."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "billion.msp"
+        path.write_text("msp 1000000000 3\ng 1 2 3 : 1 1\n")
+        return path
+
+    def test_solve(self, capsys, path):
+        with time_limit(5):
+            code, out, _ = run(capsys, "solve", str(path))
+        assert code == EXIT_YES
+        witness = tuple(int(tok) for tok in out.split())
+        assert verify(parse_instance(path.read_text()), witness)
+
+    def test_unique(self, capsys, path):
+        with time_limit(5):
+            code, out, _ = run(capsys, "unique", str(path))
+        assert code == EXIT_NO
+        assert out.startswith("NOT-UNIQUE ")
+
+    def test_all_capped(self, capsys, path):
+        with time_limit(5):
+            code, out, _ = run(capsys, "--cap", "3", "solve", "--all", str(path))
+        assert code == EXIT_YES
+        codes = [tuple(int(tok) for tok in line.split()) for line in out.splitlines()]
+        assert len(codes) == 3
+        assert codes == sorted(set(codes))
 
 
 class TestVerify:

@@ -1,6 +1,7 @@
 """Decision procedures: backtracking engine, exhaustive engine, enumeration."""
 
 import itertools
+import random
 import signal
 from collections import Counter
 from contextlib import contextmanager
@@ -14,7 +15,8 @@ from mspkit.reduction import Graph, reduce_vertex_cover
 from mspkit.solver import (DEFAULT_EXHAUSTIVE_CAP, Enumeration, MspInstance,
                            ScoredGuess, SolveOutcome, _multiset_feasible,
                            _Search, enumerate_all, solve, verify)
-from test_uniqueness import games
+from mspkit.uniqueness import is_unique
+from test_uniqueness import first_solutions, games
 
 
 def instances(max_kappa=3, max_len=4, max_guesses=3):
@@ -84,6 +86,28 @@ def compressed_solve(instance):
     if not outcome.satisfiable:
         return outcome
     return SolveOutcome(True, tuple(colors[c - 1] for c in outcome.witness))
+
+
+def compressed_solutions(instance, count):
+    """The first ``count`` <= 2 solutions, from a sweep over the used colors
+    plus the two smallest unused ones.
+
+    The lex-smallest solution holds no unused color but the smallest (see
+    compressed_solve).  A second solution holding any other unused color v
+    could swap v for the second-smallest unused one: that code is a
+    solution, holds a color the first does not, and lies strictly between
+    the two.  So the first two solutions live in this sub-palette.
+    """
+    used = {c for sg in instance.guesses for c in sg.guess}
+    unused = [c for c in range(1, min(len(used) + 2, instance.kappa) + 1)
+              if c not in used][:2]
+    colors = sorted(used | set(unused))
+    down = {c: i for i, c in enumerate(colors, 1)}
+    small = MspInstance(Palette(len(colors)), instance.length, tuple(
+        ScoredGuess(tuple(down[c] for c in sg.guess), sg.declared)
+        for sg in instance.guesses))
+    return tuple(tuple(colors[c - 1] for c in code)
+                 for code in first_solutions(small, count))
 
 
 def brute_solutions(instance):
@@ -232,6 +256,17 @@ def test_sparse_palette_matches_compressed_oracle(instance):
     assert solve(instance) == compressed_solve(instance)
 
 
+@settings(max_examples=100, deadline=None)
+@given(sparse_palettes())
+def test_sparse_palette_uniqueness_matches_compressed_oracle(instance):
+    first_two = compressed_solutions(instance, 2)
+    assert enumerate_all(instance, cap=2).codes == first_two
+    report = is_unique(instance)
+    assert report.satisfiable == bool(first_two)
+    assert report.unique == (len(first_two) == 1)
+    assert report.witness == (first_two[0] if first_two else None)
+
+
 @settings(max_examples=500, deadline=None)
 @given(instances(max_kappa=4, max_len=5, max_guesses=4))
 @example(MspInstance(Palette(2), 2, (ScoredGuess((1, 2), Score(0, 0)),)))
@@ -318,12 +353,50 @@ def test_enumeration_past_the_witness_finishes_on_dense_reduction(layout):
     assert all(verify(instance, code) for code in result.codes)
 
 
+def sparse_game(rng, kappa, ell, colors, guesses):
+    """True-scored guesses over ``colors`` random colors of a wide palette,
+    against a secret over the same colors."""
+    palette = Palette(kappa)
+    support = rng.sample(range(1, kappa + 1), colors)
+    secret = tuple(rng.choice(support) for _ in range(ell))
+    pegs = [tuple(rng.choice(support) for _ in range(ell)) for _ in range(guesses)]
+    return MspInstance(palette, ell, tuple(
+        ScoredGuess(p, score(secret, p, palette)) for p in pegs))
+
+
+def test_enumeration_on_a_wide_palette_finishes():
+    # the search once scanned all 8192 colors at every node and walked each
+    # unused one; one slot per run of unused colors makes this milliseconds
+    instance = sparse_game(random.Random(1), 8192, 6, 6, 2)
+    with time_limit(5):
+        result = enumerate_all(instance, cap=50)
+        witness = solve(instance).witness
+    assert len(result.codes) == 50
+    assert result.codes[0] == witness
+    assert all(a < b for a, b in zip(result.codes, result.codes[1:]))
+    assert all(verify(instance, code) for code in result.codes)
+
+
+def test_uniqueness_on_wide_palettes_finishes():
+    # shaped like the benchmark's sparse instances; an unused color that
+    # adds no solution at a node must end the walk over its run
+    rng = random.Random(1)
+    wide = [sparse_game(rng, 8192, rng.randint(4, 6), 8, rng.randint(3, 5))
+            for _ in range(20)]
+    with time_limit(10):
+        for instance in wide:
+            report = is_unique(instance)
+            result = enumerate_all(instance, cap=5)
+            assert report.satisfiable
+            assert report.unique == (len(result.codes) == 1)
+
+
 def check_search_state(search):
     """blocked and top against their definitions, from the current state."""
     cnt = search.cnt
     saturated = [gc for gc, m, w in zip(search.gcount, search.m_par, search.w_target)
                  if m == w]
-    for c in range(1, search.kappa + 1):
+    for c in range(1, search.nslots + 1):
         assert search.blocked[c] == sum(gc[c] > cnt[c] for gc in saturated), c
         assert (cnt[c] >= search.top[c]) == all(gc[c] <= cnt[c] for gc in search.gcount), c
 

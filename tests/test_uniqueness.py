@@ -58,6 +58,31 @@ def games(draw, max_kappa=6, max_len=5, max_guesses=5):
     return MspInstance(palette, ell, tuple(guesses))
 
 
+@st.composite
+def gapped_palettes(draw):
+    """kappa 4-7, ell 1-4, guesses over a random proper subset of the palette.
+
+    So the colors no guess holds form runs at the start, in the middle or
+    at the end of the palette.  Scores are true for a secret over the whole
+    palette, except that about a third are redrawn at random.
+    """
+    kappa = draw(st.integers(4, 7))
+    ell = draw(st.integers(1, 4))
+    palette = Palette(kappa)
+    used = draw(st.lists(st.integers(1, kappa), min_size=1, max_size=kappa - 1,
+                         unique=True))
+    secret = tuple(draw(st.lists(st.integers(1, kappa), min_size=ell, max_size=ell)))
+    guesses = []
+    for _ in range(draw(st.integers(1, 4))):
+        pegs = tuple(draw(st.lists(st.sampled_from(used), min_size=ell, max_size=ell)))
+        declared = score(pegs, secret, palette)
+        if draw(st.integers(0, 2)) == 0:
+            black = draw(st.integers(0, ell))
+            declared = Score(black, draw(st.integers(0, ell - black)))
+        guesses.append(ScoredGuess(pegs, declared))
+    return MspInstance(palette, ell, tuple(guesses))
+
+
 def follow_up_budget(ell):
     return ell * (ell + 3) // 2
 
@@ -192,3 +217,18 @@ def test_enumeration_matches_sweep_on_games(instance, cap):
     result = enumerate_all(instance, cap=cap)
     assert result.codes == expected[:cap]
     assert result.truncated == (len(expected) > cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gapped_palettes(), st.integers(1, 30))
+def test_gapped_palettes_match_sweep(instance, cap):
+    # kappa <= 7 and ell <= 4: at most 7**4 candidates to sweep
+    expected = first_solutions(instance, cap + 1)
+    assert solve(instance).witness == (expected[0] if expected else None)
+    result = enumerate_all(instance, cap=cap)
+    assert result.codes == expected[:cap]
+    assert result.truncated == (len(expected) > cap)
+    report = is_unique(instance)
+    assert report.satisfiable == bool(expected)
+    assert report.unique == (len(expected) == 1)
+    assert report.witness == (expected[0] if expected else None)
