@@ -172,8 +172,12 @@ def _system_feasible(kappa: int, ell: int, cols: dict[int, list[tuple[int, int]]
     c are placed.
 
     Only the live colors (left in some guess and in no target-0 guess) are
-    searched; any other color adds no match and can only pad the total.
-    Returns False only on proof of infeasibility.
+    searched, one level each, trying k = 0, 1, ... copies; any other color
+    adds no match and can only pad the total.  The search is one loop over
+    an explicit stack (no recursion, so the depth is not bounded by the
+    interpreter's), and every node entered, the leaf too, takes one step of
+    ``budget``.  Returns False only on proof of infeasibility, None once the
+    budget is spent.
     """
     levels = []
     # rest[g]: match total still obtainable from colors not yet decided
@@ -188,49 +192,84 @@ def _system_feasible(kappa: int, ell: int, cols: dict[int, list[tuple[int, int]]
         held += 1
         # a color left in a target-0 guess can never be used; leaving it
         # out of every row keeps the reach bounds honest about that
-        if any(targets[gi] == 0 for gi, _ in row):
-            continue
+        top = 0
         for gi, r in row:
-            rest[gi] += r
-        levels.append((row, max(r for _, r in row)))
+            if not targets[gi]:
+                break
+            if r > top:
+                top = r
+        else:
+            for gi, r in row:
+                rest[gi] += r
+            levels.append((row, top))
     if any(r < t for r, t in zip(rest, targets)):
         return False
+    depth = len(levels)
     running = [0] * len(targets)
+    # per level: the k being tried, and inflatable on entry (the entry
+    # total is the child's total less k)
+    ks = [0] * depth
+    infl = [False] * depth
     steps = 0
-
-    def dfs(j: int, total: int, inflatable: bool) -> bool | None:
-        # only guesses in this color's row change at this level, so only
-        # they need the overshoot and reach checks
-        nonlocal steps
+    j = 0
+    total = 0
+    # inflatable: some color can take copies that add no match; a color left
+    # in no guess can, and so can a live one once it reaches its top count
+    inflatable = held < kappa
+    while True:
+        # enter the node (j, total, inflatable)
         steps += 1
         if steps > budget:
             return None
-        if j == len(levels):
-            if total < ell and not inflatable:
+        if j < depth:
+            row, topcap = levels[j]
+            for gi, t in row:
+                rest[gi] -= t
+            infl[j] = inflatable
+        elif (total == ell or inflatable) and running == targets:
+            return True
+        else:
+            row, topcap = (), -1  # a failed leaf: no k to try, so back up
+        k = 0
+        # find the next k at level j that keeps every guess within reach,
+        # backing up a level each time one runs out of k; only the guesses
+        # in this color's row change here, so only they need the checks
+        while True:
+            kmax = ell - total
+            if topcap < kmax:
+                kmax = topcap
+            while k <= kmax:
+                skip = False
+                for gi, t in row:
+                    v = running[gi] + (k if k < t else t)
+                    if v > targets[gi]:
+                        k = kmax  # larger k only overshoots further
+                        skip = True
+                        break
+                    if v + rest[gi] < targets[gi]:
+                        skip = True  # out of reach; a larger k may do
+                if not skip:
+                    break
+                k += 1
+            if k <= kmax:
+                break
+            for gi, t in row:
+                rest[gi] += t
+            j -= 1
+            if j < 0:
                 return False
-            return running == targets
-        row, topcap = levels[j]
+            row, topcap = levels[j]
+            k = ks[j]
+            for gi, t in row:
+                running[gi] -= k if k < t else t
+            total -= k
+            k += 1
         for gi, t in row:
-            rest[gi] -= t
-        for k in range(min(topcap, ell - total) + 1):
-            if any(running[gi] + min(k, t) > targets[gi] for gi, t in row):
-                break  # larger k only overshoots further
-            if all(running[gi] + min(k, t) + rest[gi] >= targets[gi]
-                   for gi, t in row):
-                for gi, t in row:
-                    running[gi] += min(k, t)
-                sub = dfs(j + 1, total + k, inflatable or k == topcap)
-                if sub is not False:
-                    return sub  # the search ends here; no state to restore
-                for gi, t in row:
-                    running[gi] -= min(k, t)
-        for gi, t in row:
-            rest[gi] += t
-        return False
-
-    # inflatable: some color can take copies that add no match; a color left
-    # in no guess can, and so can a live one once it reaches its top count
-    return dfs(0, 0, held < kappa)
+            running[gi] += k if k < t else t
+        ks[j] = k
+        inflatable = infl[j] or k == topcap
+        total += k
+        j += 1
 
 
 def _sweep(instance: MspInstance, cap: int) -> Iterator[Code]:

@@ -1,5 +1,6 @@
 """Decision procedures: backtracking engine, exhaustive engine, enumeration."""
 
+import gc
 import itertools
 import random
 import signal
@@ -13,8 +14,9 @@ from mspkit.core import Palette, Score, score
 from mspkit.errors import InvalidInputError, ResourceLimitError
 from mspkit.reduction import Graph, reduce_vertex_cover
 from mspkit.solver import (DEFAULT_EXHAUSTIVE_CAP, Enumeration, MspInstance,
-                           ScoredGuess, SolveOutcome, _multiset_feasible,
-                           _Search, enumerate_all, solve, verify)
+                           ScoredGuess, SolveOutcome, _columns,
+                           _multiset_feasible, _Search, _system_feasible,
+                           enumerate_all, solve, verify)
 from mspkit.uniqueness import is_unique
 from test_uniqueness import first_solutions, games
 
@@ -279,7 +281,49 @@ def test_root_check_refutes_exactly_the_infeasible_multiset_systems(instance):
         all(sum((gc & Counter(ms)).values()) == t for gc, t in totals)
         for ms in itertools.combinations_with_replacement(
             range(1, instance.kappa + 1), instance.length))
-    assert (_multiset_feasible(instance) is False) == (not feasible)
+    assert _multiset_feasible(instance) is feasible
+
+
+def test_multiset_check_out_of_steps_says_nothing():
+    # one step per node entered, the leaf included: (1, 2) at total 1
+    # enters color 1 at k 0, color 2 at k 1, then the leaf
+    cols = _columns([Counter((1, 2))])
+    verdicts = [_system_feasible(2, 1, cols, Counter(), [1], budget)
+                for budget in range(1, 5)]
+    assert verdicts == [None, None, True, True]
+    # color 2 is dead, and one copy of color 1 cannot pad to length 2
+    cols = _columns([Counter((1, 1)), Counter((2, 2))])
+    verdicts = [_system_feasible(2, 2, cols, Counter(), [1, 0], budget)
+                for budget in range(1, 4)]
+    assert verdicts == [None, False, False]
+
+
+def test_multiset_check_is_not_bounded_by_the_recursion_limit():
+    # 1200 live colors, one search level each
+    instance = MspInstance(Palette(1200), 1200, (
+        ScoredGuess(tuple(range(1, 1201)), Score(0, 600)),))
+    assert _multiset_feasible(instance) is True
+
+
+def test_multiset_checks_leave_no_reference_cycles():
+    # what the checks and the search allocate is freed by reference counts
+    # alone, without waiting for the cyclic collector
+    instances = [reduce_vertex_cover(graph, n, layout).instance
+                 for graph in (Graph(3, ((1, 2), (1, 3), (2, 3))),
+                               Graph(5, ((1, 3), (1, 5), (2, 4), (4, 5))))
+                 for n in (1, 2)
+                 for layout in ("standard", "compact")]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for instance in instances:
+            _multiset_feasible(instance)
+            solve(instance)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @settings(max_examples=150, deadline=None)
@@ -325,7 +369,12 @@ def test_near_perfect_single_white_is_impossible(kappa, ell):
 
 @contextmanager
 def time_limit(seconds):
-    """Raise TimeoutError in the body once ``seconds`` of wall time pass."""
+    """Fail the test once the body has run ``seconds`` of wall time.
+
+    The TimeoutError raised deep in the search is reported as a plain
+    failure, without its traceback: formatting that traceback has ended the
+    whole pytest session with an INTERNALERROR.
+    """
     def expire(signum, frame):
         raise TimeoutError(f"still running after {seconds} s")
 
@@ -333,6 +382,9 @@ def time_limit(seconds):
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
+    except TimeoutError as exc:
+        # what pytest.fail(str(exc), pytrace=False) raises, minus the chain
+        raise pytest.fail.Exception(str(exc), pytrace=False) from None
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
