@@ -25,7 +25,6 @@ this differentially.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -102,13 +101,8 @@ def solve(instance: MspInstance, mode: str = "backtrack",
           cap: int = DEFAULT_EXHAUSTIVE_CAP) -> SolveOutcome:
     """Decide satisfiability; on YES the witness is the lex-smallest solution."""
     if mode == "backtrack":
-        if _multiset_feasible(instance) is False:
-            return SolveOutcome(False, None)
-        found: list[Code] = []
-        _Search(instance).run(limit=1, out=found)
-        if found:
-            return SolveOutcome(True, found[0])
-        return SolveOutcome(False, None)
+        found = _backtrack(instance, limit=1)
+        return SolveOutcome(bool(found), found[0] if found else None)
     if mode == "exhaustive":
         code = next(_sweep(instance, cap), None)
         return SolveOutcome(code is not None, code)
@@ -118,19 +112,23 @@ def solve(instance: MspInstance, mode: str = "backtrack",
 def enumerate_all(instance: MspInstance, cap: int) -> Enumeration:
     """All solutions in lexicographic order, truncated at ``cap``.
 
-    The first is solve()'s witness, the lex-smallest solution, so nothing
-    lies before it; the rest come from a search resumed just past it, with
-    every solution-preserving pruning rule but no dominance shortcuts, so
-    each solution is visited exactly once.
+    One search, the one solve() runs: its first solution is solve()'s
+    witness, the lex-smallest, and from there on the search keeps going
+    without dominance shortcuts, so each later solution is visited exactly
+    once (see _Search).
     """
     if cap < 1:
         raise InvalidInputError(f"enumeration cap must be positive, got {cap}")
-    first = solve(instance)
-    if not first.satisfiable:
-        return Enumeration((), False)
-    found = [first.witness]
-    _Search(instance, after=first.witness).run(limit=cap + 1, out=found)
+    found = _backtrack(instance, limit=cap + 1)
     return Enumeration(tuple(found[:cap]), len(found) > cap)
+
+
+def _backtrack(instance: MspInstance, limit: int) -> list[Code]:
+    """The first ``limit`` solutions in lexicographic order, from one search."""
+    found: list[Code] = []
+    if _multiset_feasible(instance) is not False:
+        _Search(instance).run(limit, found)
+    return found
 
 
 _MULTISET_CHECK_BUDGET = 200_000
@@ -305,33 +303,34 @@ class _Search:
       multiset check runs.
     * idle placements: an inert color (see top) with no guess peg at the
       position changes no count, so all such placements at a node lead to
-      one subtree; once one adds no solution from a prefix that is not
-      tight (see below), the rest are skipped.
+      one subtree; once one adds no solution, the rest are skipped (a
+      solution under a later one, given the first one's color there, is a
+      lex-smaller solution under the first).
 
     The guess lists (by_color) are also the residual checks' columns, with
     cnt placed.  Every position, the last too, takes one placement step:
     with no position left, _feasible holds exactly when every declared
     score is met.
 
-    Canonical mode (solve, no ``after``; preserves satisfiability and the
-    lex-smallest solution but collapses interchangeable branches): once a
-    color has no positional occurrence ahead it is order-interchangeable
+    Canonical mode, until the first solution (preserves satisfiability and
+    the lex-smallest solution but collapses interchangeable branches): once
+    a color has no positional occurrence ahead it is order-interchangeable
     with later such colors; a (floor value, floor position) pair with
     ascend-only updates skips placements that a value swap would turn into
-    a lex-smaller solution.
+    a lex-smaller solution.  So the first solution is the lex-smallest, w.
 
-    Non-canonical mode (enumerate_all, ``after`` given) visits every
-    solution lexicographically greater than ``after`` exactly once.  While
-    the prefix still equals ``after``'s (is tight), colors below ``after``'s
-    next peg are skipped, and the leaf ``after`` itself is not reported.
-    enumerate_all resumes at solve()'s witness, the lex-smallest solution,
-    so nothing is lost.
+    From w on the search is exact: it raises no floor, and the floors still
+    active, raised on w's path, skip no solution.  Such a floor (fc, fp)
+    came from slot fc at position fp of w, no guess holding fc at or after
+    fp.  A code x skipped below it shares w[:fp] and fc's slot at fp, and
+    places at some j > fp a slot s < fc that no guess holds at or after fp.
+    Swapping positions fp and j keeps every score, so a solution x would
+    give a solution lex-smaller than w.
     """
 
-    def __init__(self, instance: MspInstance, after: Code | None = None):
+    def __init__(self, instance: MspInstance):
         self.ell = instance.length
-        self.after = after
-        self.canonical = after is None
+        self.canonical = True
         guesses = instance.guesses
         self.n = len(guesses)
 
@@ -342,7 +341,6 @@ class _Search:
         self.slots = list(map(range, first, first[1:]))
         self.nslots = len(self.slots) - 1
         slot = {c: s for s, c in enumerate(first)}
-        self.after_slot = [bisect_right(first, c) - 1 for c in after or ()]
 
         # lists, not tuples: freed short tuples stay on per-length free lists
         self.pegs = [list(map(slot.__getitem__, sg.guess)) for sg in guesses]
@@ -402,19 +400,24 @@ class _Search:
         """Append solutions to ``out`` until it holds ``limit`` codes."""
         self.out = out
         self.limit = limit
-        if self._feasible(-1, 0, -1):
-            self._dfs(0, 0, -1, not self.canonical)
+        # one _dfs generator per node on an explicit stack, so the depth is
+        # not bounded by the interpreter's recursion limit
+        stack = [self._dfs(0, 0, -1)] if self._feasible(-1, 0, -1) else []
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            else:
+                stack.append(self._dfs(*child))
 
-    def _dfs(self, i: int, floor_c: int, floor_pos: int, tight: bool) -> None:
-        # the floor starts at (0, -1), below every slot and position, and
+    def _dfs(self, i: int, floor_c: int, floor_pos: int) -> Iterator[tuple[int, int, int]]:
+        # yields each child (i + 1, floor) and resumes once run has searched
+        # it; the floor starts at (0, -1), below every slot and position, and
         # only canonical stream placements raise it; until then nothing is skipped
         last = i + 1 == self.ell
         at_i = self.at_pos[i]
         idle_empty = False
-        # on a tight prefix only colors from after[i] up lead past ``after``,
-        # and c == lo keeps the prefix tight
-        lo = self.after[i] if tight else 1
-        for s in range(self.after_slot[i] if tight else 1, self.nslots + 1):
+        for s in range(1, self.nslots + 1):
             if self.blocked[s]:
                 continue
             eligible = self.last_occ[s] < i
@@ -446,8 +449,6 @@ class _Search:
                 self.m_par[gi] += 1
             self.cnt[s] += 1
             colors = self.slots[s]
-            if lo > colors.start:  # lo's slot, on a tight prefix
-                colors = range(lo, colors.stop)
             self.prefix[i] = colors.start
 
             if self.canonical and eligible and s >= floor_c:
@@ -465,16 +466,16 @@ class _Search:
                 last or not newly or self._residual_feasible(i) is not False)
             seen = len(self.out)  # an idle placement that adds nothing ends the slot
             for c in colors:
-                child_tight = tight and c == lo
                 if ok:
                     self.prefix[i] = c
                     if not last:
-                        self._dfs(i + 1, nf_c, nf_p, child_tight)
-                    elif not child_tight:
+                        yield i + 1, nf_c, nf_p
+                    else:
                         self.out.append(tuple(self.prefix))
+                        self.canonical = False
                 if len(self.out) >= self.limit:
                     break
-                if idle and len(self.out) == seen and not child_tight:
+                if idle and len(self.out) == seen:
                     idle_empty = True
                     break
             for s2 in newly:
@@ -506,7 +507,7 @@ class _Search:
             for s, t in self.gcount[gi].items():
                 # the ascending stream never revisits slots below the floor
                 # (ascend-only floor updates make this permanent; the floor
-                # stays at 0 outside canonical mode)
+                # rises only in canonical mode)
                 if blocked[s] or (s < floor_c and last_occ[s] < floor_pos):
                     continue
                 d = t - cnt[s]

@@ -1,9 +1,9 @@
 """Deciding whether an instance pins down exactly one secret.
 
-``is_unique`` (the default) looks for a second solution directly: one
-search resumed just past the witness s, the lex-smallest solution, in the
-order the enumeration uses.  The instance is unique exactly when that search
-finds nothing.
+``is_unique`` (the default) looks for a second solution directly: the
+first two solutions in lexicographic order, from the one search that
+enumerate_all runs.  Its first is the witness s, the lex-smallest solution,
+and the instance is unique exactly when the search finds nothing past it.
 
 ``is_unique_by_followups`` is the paper's construction, kept as the oracle.
 A satisfiable instance with witness s is unique precisely when no extension
@@ -17,12 +17,10 @@ so checking all ell*(ell+3)/2 imperfect pairs settles uniqueness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .core import Code, Score, score
 from .errors import InvalidInputError
-from .solver import (DEFAULT_EXHAUSTIVE_CAP, MODES, MspInstance, ScoredGuess,
-                     _sweep, enumerate_all, solve)
+from .solver import MspInstance, ScoredGuess, enumerate_all, solve
 
 
 @dataclass(frozen=True)
@@ -47,7 +45,7 @@ def score_pairs_excluding_perfect(ell: int) -> list[Score]:
             for white in range(ell - black + 1)]
 
 
-def is_unique(instance: MspInstance, mode: str = "backtrack") -> UniquenessReport:
+def is_unique(instance: MspInstance) -> UniquenessReport:
     """Find the first two solutions in lexicographic order.
 
     ``followups_tried`` keeps the follow-up construction's scale: 0 when
@@ -59,12 +57,7 @@ def is_unique(instance: MspInstance, mode: str = "backtrack") -> UniquenessRepor
     never below is_unique_by_followups' count, which stops at the first
     satisfiable follow-up.
     """
-    if mode == "backtrack":
-        codes = enumerate_all(instance, cap=2).codes
-    elif mode == "exhaustive":
-        codes = tuple(islice(_sweep(instance, DEFAULT_EXHAUSTIVE_CAP), 2))
-    else:
-        raise InvalidInputError(f"unknown mode {mode!r}; expected one of {MODES}")
+    codes = enumerate_all(instance, cap=2).codes
     if not codes:
         return UniquenessReport(False, False, None, 0)
     pairs = score_pairs_excluding_perfect(instance.length)

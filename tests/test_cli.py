@@ -124,8 +124,8 @@ class TestInternalError:
 
     def test_dense_cover_instance_never_exits_no(self, capsys, tmp_path):
         # K40 with cover size 39 is a YES instance with 822 colors, all of
-        # them in some guess, and code length 863; the search still recurses
-        # once per position, about 100 frames below the default limit here
+        # them in some guess, and code length 863, deeper than the default
+        # recursion limit; neither the multiset check nor the search recurses
         edges = list(itertools.combinations(range(1, 41), 2))
         graph = tmp_path / "k40.graph"
         graph.write_text(f"p edge 40 {len(edges)}\n"

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mspkit.solver
 from mspkit.core import Palette, Score, score
 from mspkit.errors import InvalidInputError, ResourceLimitError
 from mspkit.reduction import Graph, reduce_vertex_cover
@@ -305,6 +306,40 @@ def test_multiset_check_is_not_bounded_by_the_recursion_limit():
     assert _multiset_feasible(instance) is True
 
 
+def test_search_is_not_bounded_by_the_recursion_limit():
+    # code length 1200, one search node per position
+    instance = MspInstance(Palette(1200), 1200, (
+        ScoredGuess(tuple(range(1, 1201)), Score(0, 600)),))
+    with time_limit(10):
+        witness = solve(instance).witness
+    assert verify(instance, witness)
+
+
+@pytest.mark.parametrize("call", [
+    solve,
+    lambda instance: enumerate_all(instance, cap=3),
+    is_unique,
+], ids=["solve", "enumerate_all", "is_unique"])
+def test_one_search_per_call(monkeypatch, call):
+    # the witness and the solutions past it come from the same search
+    instance = MspInstance(Palette(3), 3, (ScoredGuess((1, 2, 3), Score(1, 1)),))
+    calls = Counter()
+    init, root = _Search.__init__, _multiset_feasible
+
+    def counted_init(self, *args, **kwargs):
+        calls["setup"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_root(*args):
+        calls["root"] += 1
+        return root(*args)
+
+    monkeypatch.setattr(_Search, "__init__", counted_init)
+    monkeypatch.setattr(mspkit.solver, "_multiset_feasible", counted_root)
+    call(instance)
+    assert calls == {"setup": 1, "root": 1}
+
+
 def test_multiset_checks_leave_no_reference_cycles():
     # what the checks and the search allocate is freed by reference counts
     # alone, without waiting for the cyclic collector
@@ -393,7 +428,8 @@ def time_limit(seconds):
 @pytest.mark.parametrize("layout", ["standard", "compact"])
 def test_enumeration_past_the_witness_finishes_on_dense_reduction(layout):
     # a search of every code from the start spent minutes below the witness
-    # on this reduction; resuming at the witness reaches the next ones at once
+    # on this reduction; the canonical search reaches the witness at once,
+    # and the exact search that goes on from there the next ones
     graph = Graph(5, ((1, 3), (1, 5), (2, 4), (4, 5)))
     instance = reduce_vertex_cover(graph, 2, layout).instance
     with time_limit(10):

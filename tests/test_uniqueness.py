@@ -122,11 +122,6 @@ class TestFollowUpOracle:
         assert is_unique(inst) == UniquenessReport(True, False, (1, 1), 4)
         assert is_unique_by_followups(inst) == UniquenessReport(True, False, (1, 1), 1)
 
-    def test_rejects_unknown_mode(self):
-        inst = MspInstance(Palette(2), 1, ())
-        with pytest.raises(InvalidInputError):
-            is_unique(inst, mode="bogus")
-
 
 class TestScorePairs:
     def test_count_formula_up_to_fifty(self):
@@ -188,7 +183,17 @@ def test_follow_up_count_bounds(instance):
 @settings(max_examples=100, deadline=None)
 @given(instances())
 def test_engine_choice_does_not_matter(instance):
-    assert is_unique(instance, mode="backtrack") == is_unique(instance, mode="exhaustive")
+    # the whole report, followups_tried too, against one built from a sweep
+    sweep = first_solutions(instance, 2)
+    pairs = score_pairs_excluding_perfect(instance.length)
+    if not sweep:
+        expected = UniquenessReport(False, False, None, 0)
+    elif len(sweep) == 1:
+        expected = UniquenessReport(True, True, sweep[0], len(pairs))
+    else:
+        rank = pairs.index(score(sweep[0], sweep[1], instance.palette)) + 1
+        expected = UniquenessReport(True, False, sweep[0], rank)
+    assert is_unique(instance) == expected
 
 
 @settings(max_examples=150, deadline=None)
