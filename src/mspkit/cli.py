@@ -33,13 +33,14 @@ def _fail(message: str) -> None:
 
 
 def _parse_code(text: str) -> Code:
+    tokens = text.split()
     try:
-        pegs = tuple(int(tok) for tok in text.split())
+        value = {tok: int(tok) for tok in set(tokens)}  # equal pegs share one int
     except ValueError:
         raise InvalidInputError(f"code must be space-separated integers, got {text!r}") from None
-    if not pegs:
+    if not tokens:
         raise InvalidInputError("code must contain at least one peg")
-    return pegs
+    return tuple(map(value.__getitem__, tokens))
 
 
 def _read(path: str) -> str:

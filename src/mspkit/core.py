@@ -55,6 +55,9 @@ def validate_code(code: Code, palette: Palette, length: int | None = None) -> No
         raise InvalidInputError(f"expected {length} pegs, got {len(code)}")
     if len(code) < 1:
         raise InvalidInputError("a code needs at least one peg")
+    # bulk check in C; anything else (bool pegs too) takes the loop below
+    if set(map(type, code)) == {int} and 1 <= min(code) and max(code) <= palette.kappa:
+        return
     for peg in code:
         if peg not in palette:
             raise InvalidInputError(f"peg {peg!r} outside palette 1..{palette.kappa}")

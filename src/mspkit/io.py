@@ -32,6 +32,21 @@ def _int_field(token: str, lineno: int, what: str) -> int:
         raise ParseError("bad-int", lineno, f"{what} is not an integer: {token!r}") from None
 
 
+def _pegs(tokens: list[str], kappa: int, lineno: int) -> tuple[int, ...]:
+    """The pegs of one guess line, each in 1..kappa.
+
+    Each distinct token is converted once, in order of first occurrence, so
+    equal pegs share one int object and the first bad token found is the
+    first bad peg of the line.  Every token is converted before any is
+    range-checked, so bad-int wins anywhere on the line.
+    """
+    value = {t: _int_field(t, lineno, "peg") for t in dict.fromkeys(tokens)}
+    for peg in value.values():
+        if not 1 <= peg <= kappa:
+            raise ParseError("color-out-of-range", lineno, f"peg {peg} outside 1..{kappa}")
+    return tuple(map(value.__getitem__, tokens))
+
+
 def parse_instance(text: str) -> MspInstance:
     kappa = ell = 0
     have_header = False
@@ -65,11 +80,7 @@ def parse_instance(text: str) -> MspInstance:
                              f"expected {ell} pegs, got {len(peg_tokens)}")
         if len(score_tokens) != 2:
             raise ParseError("bad-line", lineno, "expected exactly '<black> <white>' after ':'")
-        pegs = tuple(_int_field(t, lineno, "peg") for t in peg_tokens)
-        for peg in pegs:
-            if not 1 <= peg <= kappa:
-                raise ParseError("color-out-of-range", lineno,
-                                 f"peg {peg} outside 1..{kappa}")
+        pegs = _pegs(peg_tokens, kappa, lineno)
         black = _int_field(score_tokens[0], lineno, "black")
         white = _int_field(score_tokens[1], lineno, "white")
         if black < 0 or white < 0 or black + white > ell:

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from mspkit.core import Palette, Score
 from mspkit.errors import ParseError
 from mspkit.io import parse_graph, parse_instance, serialize_graph, serialize_instance
-from mspkit.reduction import Graph
+from mspkit.reduction import Graph, reduce_vertex_cover
 from mspkit.solver import MspInstance, ScoredGuess
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -115,6 +115,40 @@ class TestInstanceFormat:
     def test_message_carries_line_number(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_instance("msp 2 2\ng 1 : 0 0\n")
+
+    def test_bad_int_beats_earlier_out_of_range_peg(self):
+        with pytest.raises(ParseError) as info:
+            parse_instance("msp 5 3\ng 9 x 1 : 0 0\n")
+        assert (info.value.kind, info.value.line) == ("bad-int", 2)
+        assert info.value.message == "peg is not an integer: 'x'"
+
+    def test_first_out_of_range_peg_is_named(self):
+        with pytest.raises(ParseError) as info:
+            parse_instance("msp 5 3\ng 1 7 9 : 0 0\n")
+        assert (info.value.kind, info.value.line) == ("color-out-of-range", 2)
+        assert info.value.message == "peg 7 outside 1..5"
+        # many distinct offenders: a check in set order would name another
+        with pytest.raises(ParseError, match="peg 7 outside"):
+            parse_instance("msp 5 9\ng 1 7 9 8 6 12 7 10 0 : 0 0\n")
+        with pytest.raises(ParseError, match="not an integer: 'x'"):
+            parse_instance("msp 5 9\ng 9 x y z 1 w v x u : 0 0\n")
+
+    @pytest.mark.parametrize("pegs, kind", [("1 x 2", "bad-int"),
+                                            ("1 2 6", "color-out-of-range")])
+    def test_peg_error_line_counts_comments_and_blanks(self, pegs, kind):
+        text = f"# a comment\n\nmsp 5 3\n  \n# another\ng 1 2 3 : 0 0\n\ng {pegs} : 0 0\n"
+        assert kind_of(parse_instance, text) == (kind, 8)
+
+    def test_equal_pegs_share_one_int(self):
+        # 10 hubs joined to 30 other vertices: 342 colours, so the filler
+        # colour is not one of the small ints Python shares anyway
+        hub = Graph(40, tuple((a, b) for a in range(1, 11) for b in range(11, 41)))
+        instance = reduce_vertex_cover(hub, 10).instance
+        assert instance.kappa > 256
+        parsed = parse_instance(serialize_instance(instance))
+        assert parsed == instance
+        for sg in parsed.guesses:
+            assert len(set(map(id, sg.guess))) == len(set(sg.guess))
 
 
 class TestGraphFormat:

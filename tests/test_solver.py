@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mspkit.solver
-from mspkit.core import Palette, Score, score
+from mspkit.core import Palette, Score, score, validate_code
 from mspkit.errors import InvalidInputError, ResourceLimitError
 from mspkit.reduction import Graph, reduce_vertex_cover
 from mspkit.solver import (DEFAULT_EXHAUSTIVE_CAP, Enumeration, MspInstance,
@@ -178,6 +178,38 @@ class TestInstanceValidation:
         inst = MspInstance(Palette(2), 2, ())
         with pytest.raises(InvalidInputError):
             verify(inst, (1, 2, 1))
+
+
+class TestPegValidation:
+    """Every entry point that validates a code names its first bad peg."""
+
+    KAPPA = 3
+
+    def entry_points(self, code):
+        pal, ok = Palette(self.KAPPA), (1,) * len(code)
+        return (
+            lambda: validate_code(code, pal),
+            lambda: MspInstance(pal, len(code), (ScoredGuess(code, Score(0, 0)),)),
+            lambda: verify(MspInstance(pal, len(code), ()), code),
+            lambda: score(code, ok, pal),
+            lambda: score(ok, code, pal),
+        )
+
+    @pytest.mark.parametrize("bad", [0, KAPPA + 1, 1.0, "1", None, [1], False])
+    def test_first_bad_peg_is_named(self, bad):
+        later = 0 if bad != 0 else self.KAPPA + 1
+        for code in ((1, bad, 2), (1, bad, 2, later)):
+            for call in self.entry_points(code):
+                with pytest.raises(InvalidInputError) as info:
+                    call()
+                assert str(info.value) == f"peg {bad!r} outside palette 1..{self.KAPPA}"
+
+    def test_true_peg_counts_as_colour_one(self):
+        pal, code = Palette(self.KAPPA), (True, 2, 3)
+        validate_code(code, pal)
+        inst = MspInstance(pal, 3, (ScoredGuess(code, Score(0, 3)),))
+        assert verify(inst, (2, 3, 1)) and verify(inst, (2, 3, True))
+        assert score(code, (1, 2, 3), pal) == Score(3, 0)
 
 
 class TestCaps:
