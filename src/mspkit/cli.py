@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 = YES / true / valid / unique, 1 = NO / false / invalid /
-not-unique, 2 = usage or parse error, 3 = resource limit exceeded,
-4 = internal error (an unexpected exception; no answer was reached).
+not-unique, 2 = usage or parse error, 3 = resource limit exceeded or out
+of memory, 4 = internal error (an unexpected exception; no answer was
+reached).
 Results go to stdout, diagnostics to stderr.
 """
 
@@ -58,6 +59,9 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.all and args.mode != "backtrack":
+        raise InvalidInputError("--all lists the backtracking search's solutions; "
+                                f"it does not run --mode {args.mode}")
     instance = parse_instance(_read(args.instance))
     if args.all:
         enumeration = enumerate_all(instance, cap=args.cap)
@@ -239,10 +243,15 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         _fail(str(exc))
         return EXIT_RESOURCE
+    except MemoryError:
+        pass  # reported below, once the traceback and the frames it holds are freed
     except Exception as exc:
         # exit 1 would read as NO; say that no answer was reached instead
         _fail(f"internal error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
+    # only a MemoryError gets here
+    _fail("out of memory")
+    return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

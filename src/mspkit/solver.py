@@ -14,10 +14,10 @@ produced every declared score.  Two engines decide this:
   _multiset_feasible) that refutes many instances outright and cuts doomed
   subtrees early; it only ever prunes on proof.
 
-Nothing in the backtracking engine grows with kappa.  A guess's counts are a
-Counter over the colors it holds, read by the multiset checks as per-color
-columns (_columns, built once per search).  The search works over slots: one
-per color some guess holds and one per maximal run of colors no guess holds.
+Nothing in the backtracking engine grows with kappa.  It works over slots:
+one per color some guess holds and one per maximal run of colors no guess
+holds.  Both multiset checks read a guess's slot counts as per-slot columns
+(_columns, built once per call); verify keeps its own color Counters.
 
 Both engines return identical answers and witnesses; the test suite enforces
 this differentially.
@@ -126,8 +126,9 @@ def enumerate_all(instance: MspInstance, cap: int) -> Enumeration:
 def _backtrack(instance: MspInstance, limit: int) -> list[Code]:
     """The first ``limit`` solutions in lexicographic order, from one search."""
     found: list[Code] = []
-    if _multiset_feasible(instance) is not False:
-        _Search(instance).run(limit, found)
+    search = _Search(instance)
+    if _multiset_feasible(search) is not False:
+        search.run(limit, found)
     return found
 
 
@@ -135,42 +136,40 @@ _MULTISET_CHECK_BUDGET = 200_000
 _RESIDUAL_CHECK_BUDGET = 50_000
 
 
-def _multiset_feasible(instance: MspInstance) -> bool | None:
-    """Does any color multiset hit every guess's declared match total?
+def _multiset_feasible(search: _Search) -> bool | None:
+    """Does any slot multiset hit every guess's declared match total?
 
     A solution's multiset must satisfy, for every guess g,
-    sum_c min(count(c), guess_count_g(c)) == declared black + white; this
-    check decides that system alone, ignoring positions.  False is a proof
-    of unsatisfiability (used as a root-level shortcut), True or None (step
-    budget exhausted) says nothing.  Position-free reasoning is what makes
-    refutations of dense cover encodings cheap: the shared vertex budget and
-    the per-edge totals conflict at this level already.
+    sum_s min(count(s), guess_count_g(s)) == declared black + white; this
+    check decides that system alone (the residual system, nothing placed).
+    False is a proof of unsatisfiability, a root-level shortcut; True or
+    None (step budget exhausted) says nothing.  Position-free reasoning is
+    what makes refutations of dense cover encodings cheap: the shared vertex
+    budget and the per-edge totals conflict at this level already.
     """
-    cols = _columns([Counter(sg.guess) for sg in instance.guesses])
-    targets = [sg.declared.color_matches for sg in instance.guesses]
-    return _system_feasible(instance.kappa, instance.length, cols, Counter(),
-                            targets, _MULTISET_CHECK_BUDGET)
+    return _system_feasible(search.nslots, search.ell, search.by_color, search.cnt,
+                            search.w_target, _MULTISET_CHECK_BUDGET)
 
 
 def _columns(counts: list[Counter]) -> dict[int, list[tuple[int, int]]]:
-    """Per-color columns, colors ascending: c -> [(g, pegs of c in guess g)]."""
+    """Per-slot columns, slots ascending: s -> [(g, pegs of s in guess g)]."""
     cols: dict[int, list[tuple[int, int]]] = {}
     for gi, gc in enumerate(counts):
-        for c, t in gc.items():
-            cols.setdefault(c, []).append((gi, t))
+        for s, t in gc.items():
+            cols.setdefault(s, []).append((gi, t))
     return dict(sorted(cols.items()))
 
 
-def _system_feasible(kappa: int, ell: int, cols: dict[int, list[tuple[int, int]]],
-                     placed: Counter | list[int], targets: list[int], budget: int) -> bool | None:
-    """Core of the multiset check: exists k >= 0 per color with
-    sum(k) == ell and sum_c min(k_c, r_gc) == targets[g] for all g, where
-    r_gc = max(t_gc - placed[c], 0) is what is left of guess g's count
-    t_gc of color c (``cols``, see _columns) once ``placed[c]`` copies of
-    c are placed.
+def _system_feasible(nslots: int, ell: int, cols: dict[int, list[tuple[int, int]]],
+                     placed: list[int], targets: list[int], budget: int) -> bool | None:
+    """Core of the multiset checks: exists k >= 0 per slot with
+    sum(k) == ell and sum_s min(k_s, r_gs) == targets[g] for all g, where
+    r_gs = max(t_gs - placed[s], 0) is what is left of guess g's count
+    t_gs of slot s (``cols``, see _columns) once ``placed[s]`` copies of
+    s are placed (an unheld slot's k counts the copies of all its colors).
 
-    Only the live colors (left in some guess and in no target-0 guess) are
-    searched, one level each, trying k = 0, 1, ... copies; any other color
+    Only the live slots (left in some guess and in no target-0 guess) are
+    searched, one level each, trying k = 0, 1, ... copies; any other slot
     adds no match and can only pad the total.  The search is one loop over
     an explicit stack (no recursion, so the depth is not bounded by the
     interpreter's), and every node entered, the leaf too, takes one step of
@@ -178,17 +177,17 @@ def _system_feasible(kappa: int, ell: int, cols: dict[int, list[tuple[int, int]]
     budget is spent.
     """
     levels = []
-    # rest[g]: match total still obtainable from colors not yet decided
+    # rest[g]: match total still obtainable from slots not yet decided
     rest = [0] * len(targets)
-    held = 0  # colors left in some guess
-    for c, col in cols.items():
-        pc = placed[c]
+    held = 0  # slots left in some guess
+    for s, col in cols.items():
+        ps = placed[s]
         # with nothing placed, the column is already the residual row
-        row = [(gi, t - pc) for gi, t in col if t > pc] if pc else col
+        row = [(gi, t - ps) for gi, t in col if t > ps] if ps else col
         if not row:
             continue
         held += 1
-        # a color left in a target-0 guess can never be used; leaving it
+        # a slot left in a target-0 guess can never be used; leaving it
         # out of every row keeps the reach bounds honest about that
         top = 0
         for gi, r in row:
@@ -211,9 +210,9 @@ def _system_feasible(kappa: int, ell: int, cols: dict[int, list[tuple[int, int]]
     steps = 0
     j = 0
     total = 0
-    # inflatable: some color can take copies that add no match; a color left
+    # inflatable: some slot can take copies that add no match; a slot left
     # in no guess can, and so can a live one once it reaches its top count
-    inflatable = held < kappa
+    inflatable = held < nslots
     while True:
         # enter the node (j, total, inflatable)
         steps += 1
@@ -231,7 +230,7 @@ def _system_feasible(kappa: int, ell: int, cols: dict[int, list[tuple[int, int]]
         k = 0
         # find the next k at level j that keeps every guess within reach,
         # backing up a level each time one runs out of k; only the guesses
-        # in this color's row change here, so only they need the checks
+        # in this slot's row change here, so only they need the checks
         while True:
             kmax = ell - total
             if topcap < kmax:
@@ -307,7 +306,7 @@ class _Search:
       solution under a later one, given the first one's color there, is a
       lex-smaller solution under the first).
 
-    The guess lists (by_color) are also the residual checks' columns, with
+    The guess lists (by_color) are also the multiset checks' columns, with
     cnt placed.  Every position, the last too, takes one placement step:
     with no position left, _feasible holds exactly when every declared
     score is met.
@@ -365,6 +364,19 @@ class _Search:
                 for s in gc:
                     self.blocked[s] += 1
 
+        # mutable search state
+        self.cnt = [0] * len(self.slots)
+        self.b_par = [0] * self.n
+        self.m_par = [0] * self.n
+        self.prefix = [0] * self.ell
+        self.out: list[Code] = []
+        self.limit = 0
+
+    def run(self, limit: int, out: list[Code]) -> None:
+        """Append solutions to ``out`` until it holds ``limit`` codes."""
+        self.out = out
+        self.limit = limit
+        # the positional tables; built here, a root-refuted call skips them
         # at_pos[i][s]: guesses whose peg at position i is s.
         self.at_pos: list[dict[int, tuple[int, ...]]] = []
         for i in range(self.ell):
@@ -387,19 +399,6 @@ class _Search:
         for i, here in enumerate(self.at_pos):
             for s in here:
                 self.last_occ[s] = i
-
-        # mutable search state
-        self.cnt = [0] * len(self.slots)
-        self.b_par = [0] * self.n
-        self.m_par = [0] * self.n
-        self.prefix = [0] * self.ell
-        self.out: list[Code] = []
-        self.limit = 0
-
-    def run(self, limit: int, out: list[Code]) -> None:
-        """Append solutions to ``out`` until it holds ``limit`` codes."""
-        self.out = out
-        self.limit = limit
         # one _dfs generator per node on an explicit stack, so the depth is
         # not bounded by the interpreter's recursion limit
         stack = [self._dfs(0, 0, -1)] if self._feasible(-1, 0, -1) else []

@@ -97,6 +97,14 @@ class TestSolve:
         assert code == EXIT_RESOURCE
         assert "error:" in err
 
+    def test_all_runs_no_other_mode(self, capsys, tmp_path):
+        path = tmp_path / "free.msp"
+        path.write_text("msp 2 2\n")
+        code, out, err = run(capsys, "solve", "--all", "--mode", "exhaustive", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and "--mode exhaustive" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "does-not-exist.msp")
         assert code == EXIT_USAGE
@@ -121,6 +129,18 @@ class TestInternalError:
         assert code == EXIT_INTERNAL
         assert out == ""
         assert err == "error: internal error: RuntimeError: boom\n"
+
+    def test_out_of_memory_is_a_resource_limit(self, capsys, tmp_path, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("mspkit.cli.enumerate_all", exhausted)
+        path = tmp_path / "free.msp"
+        path.write_text("msp 2 2\n")
+        code, out, err = run(capsys, "solve", "--all", str(path))
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert err == "error: out of memory\n"
 
     def test_dense_cover_instance_never_exits_no(self, capsys, tmp_path):
         # K40 with cover size 39 is a YES instance with 822 colors, all of

@@ -302,31 +302,56 @@ def test_sparse_palette_uniqueness_matches_compressed_oracle(instance):
     assert report.witness == (first_two[0] if first_two else None)
 
 
+def some_multiset_fits(instance, colors):
+    """Does a code-length multiset over ``colors`` meet every match total?"""
+    totals = [(Counter(sg.guess), sg.declared.black + sg.declared.white)
+              for sg in instance.guesses]
+    return any(
+        all(sum((gc & Counter(ms)).values()) == t for gc, t in totals)
+        for ms in itertools.combinations_with_replacement(colors, instance.length))
+
+
 @settings(max_examples=500, deadline=None)
 @given(instances(max_kappa=4, max_len=5, max_guesses=4))
 @example(MspInstance(Palette(2), 2, (ScoredGuess((1, 2), Score(0, 0)),)))
 def test_root_check_refutes_exactly_the_infeasible_multiset_systems(instance):
     # these sizes stay far below the step budget, where the check is exact;
     # the example has only dead colors, so no multiset pads the code length
-    totals = [(Counter(sg.guess), sg.declared.black + sg.declared.white)
-              for sg in instance.guesses]
-    feasible = any(
-        all(sum((gc & Counter(ms)).values()) == t for gc, t in totals)
-        for ms in itertools.combinations_with_replacement(
-            range(1, instance.kappa + 1), instance.length))
-    assert _multiset_feasible(instance) is feasible
+    feasible = some_multiset_fits(instance, range(1, instance.kappa + 1))
+    assert _multiset_feasible(_Search(instance)) is feasible
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_palettes())
+def test_root_check_is_exact_over_slots(instance):
+    # no guess holds an unused color, so the unused colors are
+    # interchangeable: the used colors plus the smallest unused one decide
+    used = {c for sg in instance.guesses for c in sg.guess}
+    colors = sorted(used | {min(set(range(1, len(used) + 2)) - used)})
+    assert _multiset_feasible(_Search(instance)) is some_multiset_fits(instance, colors)
+
+
+@pytest.mark.parametrize("kappa, verdict, witness", [
+    (2, False, None), (3, True, (1, 3)), (10**9, True, (1, 3))])
+def test_root_check_pads_only_with_an_unheld_color(kappa, verdict, witness):
+    # one copy of color 1 and color 2 dead: length 2 needs a color no
+    # guess holds, which only a palette past 2 has
+    instance = MspInstance(Palette(kappa), 2, (
+        ScoredGuess((1, 1), Score(1, 0)), ScoredGuess((2, 2), Score(0, 0))))
+    assert _multiset_feasible(_Search(instance)) is verdict
+    assert solve(instance).witness == witness
 
 
 def test_multiset_check_out_of_steps_says_nothing():
     # one step per node entered, the leaf included: (1, 2) at total 1
-    # enters color 1 at k 0, color 2 at k 1, then the leaf
+    # enters slot 1 at k 0, slot 2 at k 1, then the leaf
     cols = _columns([Counter((1, 2))])
-    verdicts = [_system_feasible(2, 1, cols, Counter(), [1], budget)
+    verdicts = [_system_feasible(2, 1, cols, [0, 0, 0], [1], budget)
                 for budget in range(1, 5)]
     assert verdicts == [None, None, True, True]
-    # color 2 is dead, and one copy of color 1 cannot pad to length 2
+    # slot 2 is dead, and one copy of slot 1 cannot pad to length 2
     cols = _columns([Counter((1, 1)), Counter((2, 2))])
-    verdicts = [_system_feasible(2, 2, cols, Counter(), [1, 0], budget)
+    verdicts = [_system_feasible(2, 2, cols, [0, 0, 0], [1, 0], budget)
                 for budget in range(1, 4)]
     assert verdicts == [None, False, False]
 
@@ -335,7 +360,7 @@ def test_multiset_check_is_not_bounded_by_the_recursion_limit():
     # 1200 live colors, one search level each
     instance = MspInstance(Palette(1200), 1200, (
         ScoredGuess(tuple(range(1, 1201)), Score(0, 600)),))
-    assert _multiset_feasible(instance) is True
+    assert _multiset_feasible(_Search(instance)) is True
 
 
 def test_search_is_not_bounded_by_the_recursion_limit():
@@ -385,7 +410,7 @@ def test_multiset_checks_leave_no_reference_cycles():
     try:
         gc.collect()
         for instance in instances:
-            _multiset_feasible(instance)
+            _multiset_feasible(_Search(instance))
             solve(instance)
         assert gc.collect() == 0
     finally:
