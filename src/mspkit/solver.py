@@ -110,26 +110,25 @@ def solve(instance: MspInstance, mode: str = "backtrack",
 
 
 def enumerate_all(instance: MspInstance, cap: int) -> Enumeration:
-    """All solutions in lexicographic order, truncated at ``cap``.
+    """All solutions in lexicographic order, truncated at ``cap`` (an int).
 
     One search, the one solve() runs: its first solution is solve()'s
     witness, the lex-smallest, and from there on the search keeps going
     without dominance shortcuts, so each later solution is visited exactly
     once (see _Search).
     """
-    if cap < 1:
-        raise InvalidInputError(f"enumeration cap must be positive, got {cap}")
+    if not isinstance(cap, int) or cap < 1:
+        raise InvalidInputError(f"enumeration cap must be a positive integer, got {cap!r}")
     found = _backtrack(instance, limit=cap + 1)
     return Enumeration(tuple(found[:cap]), len(found) > cap)
 
 
 def _backtrack(instance: MspInstance, limit: int) -> list[Code]:
     """The first ``limit`` solutions in lexicographic order, from one search."""
-    found: list[Code] = []
     search = _Search(instance)
-    if _multiset_feasible(search) is not False:
-        search.run(limit, found)
-    return found
+    if _multiset_feasible(search) is False:
+        return []
+    return search.run(limit)
 
 
 _MULTISET_CHECK_BUDGET = 200_000
@@ -311,7 +310,11 @@ class _Search:
     with no position left, _feasible holds exactly when every declared
     score is met.
 
-    Canonical mode, until the first solution (preserves satisfiability and
+    Every placement, the last too, yields its child (i + 1, floor) to run;
+    a child at position ell is a solution, which run copies from the
+    prefix and counts in ``found``.
+
+    Canonical mode, while found is 0 (preserves satisfiability and
     the lex-smallest solution but collapses interchangeable branches): once
     a color has no positional occurrence ahead it is order-interchangeable
     with later such colors; a (floor value, floor position) pair with
@@ -329,7 +332,6 @@ class _Search:
 
     def __init__(self, instance: MspInstance):
         self.ell = instance.length
-        self.canonical = True
         guesses = instance.guesses
         self.n = len(guesses)
 
@@ -369,13 +371,11 @@ class _Search:
         self.b_par = [0] * self.n
         self.m_par = [0] * self.n
         self.prefix = [0] * self.ell
-        self.out: list[Code] = []
-        self.limit = 0
+        self.found = 0  # solutions so far; canonical mode while none
 
-    def run(self, limit: int, out: list[Code]) -> None:
-        """Append solutions to ``out`` until it holds ``limit`` codes."""
-        self.out = out
-        self.limit = limit
+    def run(self, limit: int) -> list[Code]:
+        """The first ``limit`` solutions; at the limit the loop stops, and the
+        generators it abandons are freed as run returns."""
         # the positional tables; built here, a root-refuted call skips them
         # at_pos[i][s]: guesses whose peg at position i is s.
         self.at_pos: list[dict[int, tuple[int, ...]]] = []
@@ -401,18 +401,26 @@ class _Search:
                 self.last_occ[s] = i
         # one _dfs generator per node on an explicit stack, so the depth is
         # not bounded by the interpreter's recursion limit
+        codes: list[Code] = []
         stack = [self._dfs(0, 0, -1)] if self._feasible(-1, 0, -1) else []
         while stack:
             child = next(stack[-1], None)
             if child is None:
                 stack.pop()
-            else:
+            elif child[0] < self.ell:
                 stack.append(self._dfs(*child))
+            else:
+                codes.append(tuple(self.prefix))
+                self.found += 1
+                if self.found == limit:
+                    break
+        return codes
 
     def _dfs(self, i: int, floor_c: int, floor_pos: int) -> Iterator[tuple[int, int, int]]:
-        # yields each child (i + 1, floor) and resumes once run has searched
-        # it; the floor starts at (0, -1), below every slot and position, and
-        # only canonical stream placements raise it; until then nothing is skipped
+        # yields each child (i + 1, floor), a solution at i + 1 == ell, and
+        # resumes once run has searched or collected it; the floor starts at
+        # (0, -1), below every slot and position, and only canonical stream
+        # placements raise it; until then nothing is skipped
         last = i + 1 == self.ell
         at_i = self.at_pos[i]
         idle_empty = False
@@ -450,7 +458,7 @@ class _Search:
             colors = self.slots[s]
             self.prefix[i] = colors.start
 
-            if self.canonical and eligible and s >= floor_c:
+            if not self.found and eligible and s >= floor_c:
                 nf_c, nf_p = s, i  # ascend-only floor update
             else:
                 nf_c, nf_p = floor_c, floor_pos
@@ -463,18 +471,12 @@ class _Search:
                 self.blocked[s2] += 1
             ok = self._feasible(i, nf_c, nf_p) and (
                 last or not newly or self._residual_feasible(i) is not False)
-            seen = len(self.out)  # an idle placement that adds nothing ends the slot
+            seen = self.found  # an idle placement that adds nothing ends the slot
             for c in colors:
                 if ok:
                     self.prefix[i] = c
-                    if not last:
-                        yield i + 1, nf_c, nf_p
-                    else:
-                        self.out.append(tuple(self.prefix))
-                        self.canonical = False
-                if len(self.out) >= self.limit:
-                    break
-                if idle and len(self.out) == seen:
+                    yield i + 1, nf_c, nf_p
+                if idle and self.found == seen:
                     idle_empty = True
                     break
             for s2 in newly:
@@ -485,9 +487,6 @@ class _Search:
                 self.m_par[gi] -= 1
             for gi in hits:
                 self.b_par[gi] -= 1
-
-            if len(self.out) >= self.limit:
-                return
 
     def _feasible(self, i: int, floor_c: int, floor_pos: int) -> bool:
         """Can the suffix after position i still reach every declared score?"""

@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import signal
+import weakref
 from collections import Counter
 from contextlib import contextmanager
 
@@ -226,6 +227,13 @@ class TestCaps:
         with pytest.raises(InvalidInputError):
             enumerate_all(inst, cap=0)
 
+    @pytest.mark.parametrize("cap", [2.0, 2.5, "3"])
+    def test_enumeration_cap_must_be_an_integer(self, cap):
+        # rejected before the search: a float would never equal the count
+        inst = MspInstance(Palette(2), 1, ())
+        with pytest.raises(InvalidInputError):
+            enumerate_all(inst, cap=cap)
+
     def test_enumeration_truncates_and_says_so(self):
         inst = MspInstance(Palette(2), 2, ())
         result = enumerate_all(inst, cap=3)
@@ -378,10 +386,13 @@ def test_search_is_not_bounded_by_the_recursion_limit():
     is_unique,
 ], ids=["solve", "enumerate_all", "is_unique"])
 def test_one_search_per_call(monkeypatch, call):
-    # the witness and the solutions past it come from the same search
-    instance = MspInstance(Palette(3), 3, (ScoredGuess((1, 2, 3), Score(1, 1)),))
+    # the witness and the solutions past it come from the same search, all
+    # of it inside one run (the span the benchmark times as the search)
+    several = MspInstance(Palette(3), 3, (ScoredGuess((1, 2, 3), Score(1, 1)),))
+    # K3 needs a cover of 2; the root check refutes cover size 1
+    refuted = reduce_vertex_cover(Graph(3, ((1, 2), (1, 3), (2, 3))), 1).instance
     calls = Counter()
-    init, root = _Search.__init__, _multiset_feasible
+    init, root, run = _Search.__init__, _multiset_feasible, _Search.run
 
     def counted_init(self, *args, **kwargs):
         calls["setup"] += 1
@@ -391,13 +402,20 @@ def test_one_search_per_call(monkeypatch, call):
         calls["root"] += 1
         return root(*args)
 
+    def counted_run(self, *args):
+        calls["run"] += 1
+        return run(self, *args)
+
     monkeypatch.setattr(_Search, "__init__", counted_init)
+    monkeypatch.setattr(_Search, "run", counted_run)
     monkeypatch.setattr(mspkit.solver, "_multiset_feasible", counted_root)
-    call(instance)
-    assert calls == {"setup": 1, "root": 1}
+    for instance, runs in ((several, 1), (refuted, 0)):
+        calls.clear()
+        call(instance)
+        assert (calls["setup"], calls["root"], calls["run"]) == (1, 1, runs)
 
 
-def test_multiset_checks_leave_no_reference_cycles():
+def test_multiset_checks_leave_no_reference_cycles(monkeypatch):
     # what the checks and the search allocate is freed by reference counts
     # alone, without waiting for the cyclic collector
     instances = [reduce_vertex_cover(graph, n, layout).instance
@@ -405,6 +423,16 @@ def test_multiset_checks_leave_no_reference_cycles():
                                Graph(5, ((1, 3), (1, 5), (2, 4), (4, 5))))
                  for n in (1, 2)
                  for layout in ("standard", "compact")]
+    # a cycle through a suspended generator is broken by closing it, so the
+    # collector reports 0 for it; a search still alive here shows it
+    searches = []
+    init = _Search.__init__
+
+    def tracked_init(self, *args):
+        searches.append(weakref.ref(self))
+        init(self, *args)
+
+    monkeypatch.setattr(_Search, "__init__", tracked_init)
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -412,6 +440,11 @@ def test_multiset_checks_leave_no_reference_cycles():
         for instance in instances:
             _multiset_feasible(_Search(instance))
             solve(instance)
+            # both stop at their limit with the generator stack still open
+            enumerate_all(instance, cap=2)
+            is_unique(instance)
+            assert [r for r in searches if r() is not None] == []
+        assert len(searches) == 4 * len(instances)
         assert gc.collect() == 0
     finally:
         if enabled:
