@@ -114,9 +114,10 @@ def reduce_vertex_cover(graph: Graph, cover_size: int,
 
     guesses = [ScoredGuess((no,) * ell, Score(0, 0)),
                ScoredGuess((yes,) * 3 + (no,) * (ell - 3), Score(3, 0))]
+    edge_score = Score(0, 2)  # one object shared by every edge guess
     for i, (a, b) in enumerate(graph.edges, start=1):
         pegs = (edge_color[i], vertex_color[a], vertex_color[b]) + (no,) * (ell - 3)
-        guesses.append(ScoredGuess(pegs, Score(0, 2)))
+        guesses.append(ScoredGuess(pegs, edge_score))
     vertex_row = tuple(vertex_color[v] for v in range(1, nv + 1))
     guesses.append(ScoredGuess(
         (yes,) * 3 + vertex_row + (no,) * (ell - 3 - nv), Score(3, cover_size)))

@@ -39,7 +39,7 @@ DEFAULT_EXHAUSTIVE_CAP = 10**8
 MODES = ("backtrack", "exhaustive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredGuess:
     guess: Code
     declared: Score
@@ -299,6 +299,14 @@ class _Search:
       blocked color is never placed, the count changes only when a
       placement saturates a guess, which is also when the residual
       multiset check runs.
+    * unconstrained tail: from tail_start on, every guess's peg is blocked
+      from the start, so no placement there adds a black peg (the black
+      bound has made each black count exact on entry).  What is left is
+      the residual multiset system alone, so the residual check runs on
+      every placement into the tail and asks whether any completion is
+      left at all; like every residual check it prunes only on proof, in
+      canonical and exact mode alike.  The paper's reduction ends in such
+      a tail: the positions past guess 4's vertex row hold N everywhere.
     * idle placements: an inert color (see top) with no guess peg at the
       position changes no count, so all such placements at a node lead to
       one subtree; once one adds no solution, the rest are skipped (a
@@ -394,6 +402,9 @@ class _Search:
                 if not self.blocked[p[i]]:
                     acc += 1
                 self.suffix_open[gi][i] = acc
+        # tail_start: the first position from which no guess has an open peg
+        # (each suffix_open row falls to 0 there and stays 0)
+        self.tail_start = max((so.index(0) for so in self.suffix_open), default=0)
 
         self.last_occ = [-1] * len(self.slots)
         for i, here in enumerate(self.at_pos):
@@ -464,13 +475,15 @@ class _Search:
                 nf_c, nf_p = floor_c, floor_pos
             # a guess saturated by this placement blocks its unfilled
             # slots; that is when the multiset system, checked on the
-            # residue, tends to become refutable
+            # residue, tends to become refutable; in the tail it decides
+            # whether any completion is left
             newly = [s2 for gi in bumps if self.m_par[gi] == self.w_target[gi]
                      for s2, t in self.gcount[gi].items() if t > self.cnt[s2]]
             for s2 in newly:
                 self.blocked[s2] += 1
             ok = self._feasible(i, nf_c, nf_p) and (
-                last or not newly or self._residual_feasible(i) is not False)
+                last or not (newly or i + 1 >= self.tail_start)
+                or self._residual_feasible(i) is not False)
             seen = self.found  # an idle placement that adds nothing ends the slot
             for c in colors:
                 if ok:

@@ -14,10 +14,11 @@ from hypothesis import example, given, settings, strategies as st
 import mspkit.solver
 from mspkit.core import Palette, Score, score, validate_code
 from mspkit.errors import InvalidInputError, ResourceLimitError
-from mspkit.reduction import Graph, reduce_vertex_cover
+from mspkit.reduction import (Graph, brute_force_vertex_cover, is_vertex_cover,
+                              reduce_vertex_cover)
 from mspkit.solver import (DEFAULT_EXHAUSTIVE_CAP, Enumeration, MspInstance,
                            ScoredGuess, SolveOutcome, _columns,
-                           _multiset_feasible, _Search, _system_feasible,
+                           _multiset_feasible, _Search, _sweep, _system_feasible,
                            enumerate_all, solve, verify)
 from mspkit.uniqueness import is_unique
 from test_uniqueness import first_solutions, games
@@ -529,6 +530,171 @@ def test_enumeration_past_the_witness_finishes_on_dense_reduction(layout):
     assert result.codes[0] == witness
     assert all(a < b for a, b in zip(result.codes, result.codes[1:]))
     assert all(verify(instance, code) for code in result.codes)
+
+
+def test_solve_finishes_on_a_reduction_with_a_long_tail():
+    # G(12, 0.4), the graph random.Random(1) draws right after one with 10
+    # vertices (each pair in order, kept with probability 0.4).  Its last 29
+    # positions hold N in every guess; walking them took over 100 s, while
+    # the residual check on every placement there decides them at once
+    edges = ((1, 7), (2, 3), (2, 4), (2, 7), (2, 11), (3, 7), (3, 9), (3, 10),
+             (4, 6), (4, 7), (5, 6), (5, 11), (6, 8), (7, 12), (8, 11), (9, 11),
+             (9, 12))
+    instance = reduce_vertex_cover(Graph(12, edges), 6).instance
+    assert (instance.length, instance.kappa) == (44, 31)
+    with time_limit(30):
+        witness = solve(instance).witness
+    assert verify(instance, witness)
+
+
+@pytest.mark.parametrize("layout", ["standard", "compact"])
+def test_residual_check_fires_on_every_placement_into_the_tail(monkeypatch, layout):
+    # from tail_start on every guess's peg is blocked from the start, so a
+    # placement there can gain no black peg and the residual check alone
+    # decides whether any completion is left; it must run on each such
+    # placement, not only on those that saturate a guess
+    graph = Graph(5, ((1, 3), (1, 5), (2, 4), (4, 5)))
+    instance = reduce_vertex_cover(graph, 2, layout).instance
+    placed, checked, starts = Counter(), Counter(), set()
+    feasible, residual = _Search._feasible, _Search._residual_feasible
+
+    def counted_feasible(self, i, *args):
+        ok = feasible(self, i, *args)
+        # a placement at i that passes goes on to the residual check
+        # unless it fills the last position
+        if ok and self.tail_start <= i + 1 < self.ell:
+            placed[i] += 1
+        return ok
+
+    def counted_residual(self, i):
+        starts.add(self.tail_start)
+        if i + 1 >= self.tail_start:
+            checked[i] += 1
+        return residual(self, i)
+
+    monkeypatch.setattr(_Search, "_feasible", counted_feasible)
+    monkeypatch.setattr(_Search, "_residual_feasible", counted_residual)
+    solve(instance)
+    enumerate_all(instance, cap=5)
+    # the positions past guess 4's vertex row hold N in every guess
+    assert starts == {3 + graph.vertex_count}
+    assert sum(checked.values()) > 0
+    assert checked == placed
+
+
+def reduction_solutions(artifact, count):
+    """The first ``count`` solutions of a reduction, in lex order, read off
+    the graph instead of the guesses' scores.
+
+    A code solves the reduction exactly when, for some vertex cover C of
+    the cover size, it starts Y, Y, Y, holds every color of C and of the
+    edges with one end in C, holds no other color but Y, and holds no
+    vertex v at position v + 2, where guess 4 names v.  The search below
+    extends a prefix only while some C can still complete it: the colors
+    C still misses need distinct free positions, and as each position
+    rules out at most one color and each color at most one position, they
+    find them unless there are too few, or one color is left for one
+    position that rules it out.
+    """
+    graph, cmap, n = artifact.source, artifact.colors, artifact.cover_size
+    ell, yes = artifact.instance.length, cmap.yes_color
+    own = {cmap.vertex_color[v]: v + 2 for v in range(1, graph.vertex_count + 1)}
+    choices = []
+    for cover in itertools.combinations(range(1, graph.vertex_count + 1), n):
+        if is_vertex_cover(graph, cover):
+            need = {cmap.vertex_color[v] for v in cover} | {
+                cmap.edge_color[i] for i, (a, b) in enumerate(graph.edges, 1)
+                if (a in cover) != (b in cover)}
+            choices.append((need, need | {yes}))
+
+    def completes(prefix):
+        free = ell - max(len(prefix), 3)
+        for need, allowed in choices:
+            if any(c != yes if j < 3 else c not in allowed or own.get(c) == j
+                   for j, c in enumerate(prefix)):
+                continue
+            missing = need.difference(prefix)
+            if len(missing) <= free and not (
+                    free == 1 and missing and own.get(*missing) == ell - 1):
+                return True
+        return False
+
+    found, prefix = [], []
+
+    def extend():
+        if len(prefix) == ell:
+            found.append(tuple(prefix))
+            return
+        for c in range(1, artifact.instance.kappa + 1):
+            prefix.append(c)
+            if completes(prefix):
+                extend()
+            prefix.pop()
+            if len(found) == count:
+                return
+
+    if completes(prefix):
+        extend()
+    return found
+
+
+def tail_reductions():
+    """Reductions of G(nv, 0.45), nv 4-6, at every cover size, both layouts."""
+    rng = random.Random(13)
+    for nv in (4, 5, 6):
+        for _ in range(2):
+            edges = tuple(p for p in itertools.combinations(range(1, nv + 1), 2)
+                          if rng.random() < 0.45)
+            for n in range(1, nv + 1):
+                for layout in ("standard", "compact"):
+                    yield reduce_vertex_cover(Graph(nv, edges), n, layout)
+
+
+def test_reductions_with_a_tail_match_the_cover_oracles():
+    # solve and the exact search past the witness, both of which run the
+    # tail check, against brute-force vertex cover and the paper's reading
+    # of a solution
+    for artifact in tail_reductions():
+        instance = artifact.instance
+        expected = reduction_solutions(artifact, 6)
+        assert bool(expected) == brute_force_vertex_cover(artifact.source,
+                                                          artifact.cover_size)
+        assert solve(instance) == SolveOutcome(bool(expected), next(iter(expected), None))
+        assert enumerate_all(instance, cap=5) == Enumeration(tuple(expected[:5]),
+                                                             len(expected) > 5)
+
+
+@st.composite
+def blocked_suffix_games(draw):
+    """Games whose last positions no guess constrains: there every guess
+    holds a color x that an all-x guess declared (0, 0) blocks.  Scores are
+    true for a secret without x, a third of them redrawn; kappa**ell is at
+    most 10**5."""
+    kappa = draw(st.integers(2, 4))
+    ell = draw(st.integers(2, {2: 12, 3: 8, 4: 6}[kappa]))
+    free = draw(st.integers(0, ell - 1))
+    x = draw(st.integers(1, kappa))
+    palette = Palette(kappa)
+    others = [c for c in range(1, kappa + 1) if c != x]
+    secret = tuple(draw(st.lists(st.sampled_from(others), min_size=ell, max_size=ell)))
+    guesses = [ScoredGuess((x,) * ell, Score(0, 0))]
+    for _ in range(draw(st.integers(1, 4))):
+        pegs = tuple(draw(st.lists(st.integers(1, kappa), min_size=free,
+                                   max_size=free))) + (x,) * (ell - free)
+        declared = score(pegs, secret, palette)
+        if draw(st.integers(0, 2)) == 0:
+            black = draw(st.integers(0, ell))
+            declared = Score(black, draw(st.integers(0, ell - black)))
+        guesses.append(ScoredGuess(pegs, declared))
+    return MspInstance(palette, ell, tuple(guesses))
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocked_suffix_games())
+def test_games_with_a_blocked_suffix_match_the_sweep(instance):
+    expected = tuple(itertools.islice(_sweep(instance, 10**5), 6))
+    assert solve(instance) == SolveOutcome(bool(expected), next(iter(expected), None))
+    assert enumerate_all(instance, cap=5) == Enumeration(expected[:5], len(expected) > 5)
 
 
 def sparse_game(rng, kappa, ell, colors, guesses):
