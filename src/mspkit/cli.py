@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .core import Code, Palette, score
+from .core import Code, Palette, score, validate_code
 from .errors import InvalidInputError, ParseError, PreconditionError, ResourceLimitError
 from .io import parse_graph, parse_instance, serialize_instance
 from .reduction import (Graph, brute_force_vertex_cover, extract_cover,
@@ -114,6 +114,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
         raise InvalidInputError(
             "instance file does not match the reduction of this graph")
     witness = _parse_code(args.code)
+    # a malformed code is a usage error (exit 2); only a non-witness is NO
+    validate_code(witness, instance.palette, instance.length)
     try:
         cover = extract_cover(artifact, witness)
     except InvalidInputError as exc:

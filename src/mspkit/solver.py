@@ -169,11 +169,13 @@ def _system_feasible(nslots: int, ell: int, cols: dict[int, list[tuple[int, int]
 
     Only the live slots (left in some guess and in no target-0 guess) are
     searched, one level each, trying k = 0, 1, ... copies; any other slot
-    adds no match and can only pad the total.  The search is one loop over
-    an explicit stack (no recursion, so the depth is not bounded by the
-    interpreter's), and every node entered, the leaf too, takes one step of
-    ``budget``.  Returns False only on proof of infeasibility, None once the
-    budget is spent.
+    adds no match and can only pad the total.  A k is tried only if each
+    guess in its row keeps running <= target <= running + rest, so at a leaf
+    (rest 0) each guess with a row meets its target, and one with none has
+    target 0 (else rest < targets refutes up front): a leaf asks only that
+    the total can pad to ell.  The search loops over an explicit stack (no
+    recursion limit); each node entered, the leaf too, takes a ``budget``
+    step.  False is a proof of infeasibility, None a spent budget.
     """
     levels = []
     # rest[g]: match total still obtainable from slots not yet decided
@@ -222,7 +224,7 @@ def _system_feasible(nslots: int, ell: int, cols: dict[int, list[tuple[int, int]
             for gi, t in row:
                 rest[gi] -= t
             infl[j] = inflatable
-        elif (total == ell or inflatable) and running == targets:
+        elif total == ell or inflatable:
             return True
         else:
             row, topcap = (), -1  # a failed leaf: no k to try, so back up
@@ -295,18 +297,16 @@ class _Search:
       colors that are not blocked.
     * blocked colors: once a guess reaches its match total (a guess declared
       (0, 0) from the start), a color it holds more pegs of than are placed
-      can never be placed again.  blocked[c] counts those guesses.  As a
-      blocked color is never placed, the count changes only when a
-      placement saturates a guess, which is also when the residual
-      multiset check runs.
+      can never be placed again.  blocked[c] counts those guesses.  It
+      changes only when a placement saturates a guess (a blocked color is
+      never placed), and then the residual multiset check runs.
     * unconstrained tail: from tail_start on, every guess's peg is blocked
       from the start, so no placement there adds a black peg (the black
-      bound has made each black count exact on entry).  What is left is
-      the residual multiset system alone, so the residual check runs on
-      every placement into the tail and asks whether any completion is
-      left at all; like every residual check it prunes only on proof, in
-      canonical and exact mode alike.  The paper's reduction ends in such
-      a tail: the positions past guess 4's vertex row hold N everywhere.
+      bound has made each black count exact on entry).  The residual check
+      runs on every placement into the tail, where it asks whether any
+      completion is left; it prunes only on proof, in canonical and exact
+      mode alike.  The paper's reduction ends in such a tail: the positions
+      past guess 4's vertex row hold N everywhere.
     * idle placements: an inert color (see top) with no guess peg at the
       position changes no count, so all such placements at a node lead to
       one subtree; once one adds no solution, the rest are skipped (a
@@ -316,7 +316,9 @@ class _Search:
     The guess lists (by_color) are also the multiset checks' columns, with
     cnt placed.  Every position, the last too, takes one placement step:
     with no position left, _feasible holds exactly when every declared
-    score is met.
+    score is met.  The first placement's _feasible is the root positional
+    check: a placement only lowers black reach and gain - need, and need
+    and rem by at most one, so a failing root fails every first placement.
 
     Every placement, the last too, yields its child (i + 1, floor) to run;
     a child at position ell is a solution, which run copies from the
@@ -413,7 +415,7 @@ class _Search:
         # one _dfs generator per node on an explicit stack, so the depth is
         # not bounded by the interpreter's recursion limit
         codes: list[Code] = []
-        stack = [self._dfs(0, 0, -1)] if self._feasible(-1, 0, -1) else []
+        stack = [self._dfs(0, 0, -1)]
         while stack:
             child = next(stack[-1], None)
             if child is None:
@@ -438,8 +440,7 @@ class _Search:
         for s in range(1, self.nslots + 1):
             if self.blocked[s]:
                 continue
-            eligible = self.last_occ[s] < i
-            if eligible and s < floor_c and self.last_occ[s] < floor_pos:
+            if s < floor_c and self.last_occ[s] < floor_pos:
                 continue
             hits = at_i.get(s, ())
             inert = self.cnt[s] >= self.top[s]
@@ -467,16 +468,15 @@ class _Search:
                 self.m_par[gi] += 1
             self.cnt[s] += 1
             colors = self.slots[s]
-            self.prefix[i] = colors.start
+            self.prefix[i] = colors.start  # the residual check's test reads prefix[:i + 1]
 
-            if not self.found and eligible and s >= floor_c:
+            if not self.found and s >= floor_c and self.last_occ[s] < i:
                 nf_c, nf_p = s, i  # ascend-only floor update
             else:
                 nf_c, nf_p = floor_c, floor_pos
-            # a guess saturated by this placement blocks its unfilled
-            # slots; that is when the multiset system, checked on the
-            # residue, tends to become refutable; in the tail it decides
-            # whether any completion is left
+            # a guess saturated by this placement blocks its unfilled slots;
+            # the residual system then tends to become refutable, and in the
+            # tail it decides whether any completion is left
             newly = [s2 for gi in bumps if self.m_par[gi] == self.w_target[gi]
                      for s2, t in self.gcount[gi].items() if t > self.cnt[s2]]
             for s2 in newly:

@@ -265,6 +265,19 @@ class TestExtract:
         assert code == EXIT_NO
         assert "error:" in err
 
+    @pytest.mark.parametrize("witness, message", [
+        ("1 2", "expected 9 pegs, got 2"),
+        ("7 7 7 2 1 1 1 5 99", "peg 99 outside palette 1..8"),
+    ], ids=["peg-count", "peg-outside-palette"])
+    def test_malformed_witness_is_a_usage_error(self, capsys, tmp_path, witness, message):
+        # not a code of the instance at all, as verify says too; exit 1
+        # would read as "this code is no witness"
+        inst, reduction = tmp_path / "k3n2.msp", ("--cover-size", "2", "--compact")
+        run(capsys, "reduce", str(FIXTURES / "k3.graph"), *reduction, "-o", str(inst))
+        for argv in (("verify", str(inst)),
+                     ("extract", str(FIXTURES / "k3.graph"), *reduction, str(inst))):
+            assert run(capsys, *argv, witness) == (EXIT_USAGE, "", f"error: {message}\n")
+
 
 class TestUnique:
     def test_pinned_fixture(self, capsys):

@@ -1,52 +1,18 @@
 """Line-oriented text formats: parse errors carry kinds and line numbers."""
 
-import itertools
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
-from mspkit.core import Palette, Score
+from mspkit.core import Score
 from mspkit.errors import ParseError
 from mspkit.io import parse_graph, parse_instance, serialize_graph, serialize_instance
 from mspkit.reduction import Graph, reduce_vertex_cover
-from mspkit.solver import MspInstance, ScoredGuess
+from mspkit.solver import ScoredGuess
+from strategies import graphs, instances
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def instances(max_kappa=4, max_len=4, max_guesses=4):
-    def build(args):
-        kappa, ell, seeds = args
-        guesses = tuple(
-            ScoredGuess(tuple(pegs), Score(black, extra))
-            for pegs, black, extra in seeds)
-        return MspInstance(Palette(kappa), ell, guesses)
-
-    def seeded(kappa, ell):
-        guess = st.tuples(
-            st.lists(st.integers(1, kappa), min_size=ell, max_size=ell),
-            st.integers(0, ell), st.integers(0, ell),
-        ).filter(lambda t: t[1] + t[2] <= ell)
-        return st.tuples(st.just(kappa), st.just(ell),
-                         st.lists(guess, max_size=max_guesses))
-
-    return st.tuples(st.integers(1, max_kappa),
-                     st.integers(1, max_len)).flatmap(
-        lambda kl: seeded(*kl)).map(build)
-
-
-def graphs(max_vertices=6):
-    def build(args):
-        nv, picks = args
-        pairs = list(itertools.combinations(range(1, nv + 1), 2))
-        return Graph(nv, tuple(p for p, keep in zip(pairs, picks) if keep))
-
-    return st.integers(1, max_vertices).flatmap(
-        lambda nv: st.tuples(
-            st.just(nv),
-            st.lists(st.booleans(), min_size=nv * (nv - 1) // 2,
-                     max_size=nv * (nv - 1) // 2))).map(build)
 
 
 def kind_of(callable_, text):
@@ -221,11 +187,11 @@ class TestBundledFixtures:
         assert inst.guesses == (ScoredGuess((1, 1), Score(2, 0)),)
 
 
-@given(instances())
+@given(instances(4, 4, 4))
 def test_instance_round_trip(instance):
     assert parse_instance(serialize_instance(instance)) == instance
 
 
-@given(graphs())
+@given(graphs(6))
 def test_graph_round_trip(graph):
     assert parse_graph(serialize_graph(graph)) == graph

@@ -12,22 +12,9 @@ from mspkit.reduction import (BRUTE_FORCE_VERTEX_LIMIT, Graph,
                               extract_cover, is_vertex_cover,
                               reduce_vertex_cover)
 from mspkit.solver import solve, verify
+from strategies import graphs
 
 TRIANGLE = Graph(3, ((1, 2), (1, 3), (2, 3)))
-
-
-def graphs(max_vertices=6):
-    def build(args):
-        nv, picks = args
-        pairs = list(itertools.combinations(range(1, nv + 1), 2))
-        edges = tuple(p for p, keep in zip(pairs, picks) if keep)
-        return Graph(nv, edges)
-
-    return st.integers(1, max_vertices).flatmap(
-        lambda nv: st.tuples(
-            st.just(nv),
-            st.lists(st.booleans(), min_size=nv * (nv - 1) // 2,
-                     max_size=nv * (nv - 1) // 2))).map(build)
 
 
 def exact_covers(graph, size):
@@ -178,7 +165,7 @@ class TestWitnessArguments:
             extract_cover(art, (7,) * 12)
 
 
-@given(graphs(), st.data())
+@given(graphs(6), st.data())
 def test_size_formulas(graph, data):
     n = data.draw(st.integers(1, graph.vertex_count))
     nv, ne = graph.vertex_count, graph.edge_count

@@ -21,29 +21,7 @@ from mspkit.solver import (DEFAULT_EXHAUSTIVE_CAP, Enumeration, MspInstance,
                            _multiset_feasible, _Search, _sweep, _system_feasible,
                            enumerate_all, solve, verify)
 from mspkit.uniqueness import is_unique
-from test_uniqueness import first_solutions, games
-
-
-def instances(max_kappa=3, max_len=4, max_guesses=3):
-    """Small random instances; declared scores range over all legal pairs."""
-    def build(args):
-        kappa, ell, seeds = args
-        guesses = tuple(
-            ScoredGuess(tuple(pegs), Score(black, extra))
-            for pegs, black, extra in seeds)
-        return MspInstance(Palette(kappa), ell, guesses)
-
-    def seeded(kappa, ell):
-        guess = st.tuples(
-            st.lists(st.integers(1, kappa), min_size=ell, max_size=ell),
-            st.integers(0, ell), st.integers(0, ell),
-        ).filter(lambda t: t[1] + t[2] <= ell)
-        return st.tuples(st.just(kappa), st.just(ell),
-                         st.lists(guess, max_size=max_guesses))
-
-    return st.tuples(st.integers(1, max_kappa),
-                     st.integers(1, max_len)).flatmap(
-        lambda kl: seeded(*kl)).map(build)
+from strategies import first_solutions, games, instances
 
 
 @st.composite
@@ -73,35 +51,18 @@ def sparse_palettes(draw):
     return MspInstance(palette, ell, tuple(guesses))
 
 
-def compressed_solve(instance):
-    """Exhaustive solve over the used colors plus the smallest unused one.
-
-    A color no guess holds scores nothing, so swapping every unused color of
-    a solution for the smallest unused one gives a solution no larger: the
-    lex-smallest solution lives in this sub-palette.  The monotone color map
-    keeps lex order, so the small instance's first solution maps back to it.
-    """
-    used = {c for sg in instance.guesses for c in sg.guess}
-    colors = sorted(used | {min(set(range(1, len(used) + 2)) - used)})
-    down = {c: i for i, c in enumerate(colors, 1)}
-    small = MspInstance(Palette(len(colors)), instance.length, tuple(
-        ScoredGuess(tuple(down[c] for c in sg.guess), sg.declared)
-        for sg in instance.guesses))
-    outcome = solve(small, mode="exhaustive")
-    if not outcome.satisfiable:
-        return outcome
-    return SolveOutcome(True, tuple(colors[c - 1] for c in outcome.witness))
-
-
 def compressed_solutions(instance, count):
     """The first ``count`` <= 2 solutions, from a sweep over the used colors
     plus the two smallest unused ones.
 
-    The lex-smallest solution holds no unused color but the smallest (see
-    compressed_solve).  A second solution holding any other unused color v
-    could swap v for the second-smallest unused one: that code is a
-    solution, holds a color the first does not, and lies strictly between
-    the two.  So the first two solutions live in this sub-palette.
+    A color no guess holds scores nothing, so swapping every unused color of
+    a solution for the smallest unused one gives a solution no larger: the
+    lex-smallest solution holds no unused color but the smallest.  A second
+    solution holding any other unused color v could swap v for the
+    second-smallest unused one: that code is a solution, holds a color the
+    first does not, and lies strictly between the two.  So the first two
+    solutions live in this sub-palette, and the monotone color map back
+    keeps lex order.
     """
     used = {c for sg in instance.guesses for c in sg.guess}
     unused = [c for c in range(1, min(len(used) + 2, instance.kappa) + 1)
@@ -113,12 +74,6 @@ def compressed_solutions(instance, count):
         for sg in instance.guesses))
     return tuple(tuple(colors[c - 1] for c in code)
                  for code in first_solutions(small, count))
-
-
-def brute_solutions(instance):
-    space = itertools.product(range(1, instance.kappa + 1),
-                              repeat=instance.length)
-    return tuple(code for code in space if verify(instance, code))
 
 
 class TestFrozenExamples:
@@ -243,22 +198,22 @@ class TestCaps:
 
 
 @settings(max_examples=300, deadline=None)
-@given(instances())
+@given(instances(3, 4, 3))
 def test_engines_agree(instance):
     assert solve(instance, mode="backtrack") == solve(instance, mode="exhaustive")
 
 
 @settings(max_examples=300, deadline=None)
-@given(instances())
+@given(instances(3, 4, 3))
 def test_enumeration_matches_brute_filter(instance):
-    expected = brute_solutions(instance)
+    expected = first_solutions(instance, None)
     result = enumerate_all(instance, cap=len(expected) + 1)
     assert result.codes == expected
     assert not result.truncated
 
 
 @settings(max_examples=300, deadline=None)
-@given(instances())
+@given(instances(3, 4, 3))
 def test_witnesses_verify(instance):
     outcome = solve(instance)
     if outcome.satisfiable:
@@ -268,15 +223,15 @@ def test_witnesses_verify(instance):
 
 
 @settings(max_examples=200, deadline=None)
-@given(instances())
+@given(instances(3, 4, 3))
 def test_witness_is_first_enumerated(instance):
-    first = brute_solutions(instance)[:1]
+    first = first_solutions(instance, 1)
     assert solve(instance).witness == (first[0] if first else None)
     assert enumerate_all(instance, cap=1).codes == first
 
 
 @settings(max_examples=200, deadline=None)
-@given(instances())
+@given(instances(3, 4, 3))
 def test_adding_a_true_score_keeps_witness(instance):
     # scoring any code against the witness and appending that guess must not
     # change satisfiability: the witness itself still fits
@@ -297,7 +252,8 @@ def test_adding_a_true_score_keeps_witness(instance):
 @settings(max_examples=100, deadline=None)
 @given(sparse_palettes())
 def test_sparse_palette_matches_compressed_oracle(instance):
-    assert solve(instance) == compressed_solve(instance)
+    first = compressed_solutions(instance, 1)
+    assert solve(instance) == SolveOutcome(bool(first), next(iter(first), None))
 
 
 @settings(max_examples=100, deadline=None)
@@ -321,7 +277,7 @@ def some_multiset_fits(instance, colors):
 
 
 @settings(max_examples=500, deadline=None)
-@given(instances(max_kappa=4, max_len=5, max_guesses=4))
+@given(instances(4, 5, 4))
 @example(MspInstance(Palette(2), 2, (ScoredGuess((1, 2), Score(0, 0)),)))
 def test_root_check_refutes_exactly_the_infeasible_multiset_systems(instance):
     # these sizes stay far below the step budget, where the check is exact;

@@ -1,61 +1,15 @@
 """Unique-solution detection against the enumeration oracle."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mspkit.core import Palette, Score, score
 from mspkit.errors import InvalidInputError
 from mspkit.reduction import Graph, reduce_vertex_cover
-from mspkit.solver import MspInstance, ScoredGuess, enumerate_all, solve, verify
+from mspkit.solver import MspInstance, ScoredGuess, enumerate_all, solve
 from mspkit.uniqueness import (UniquenessReport, is_unique, is_unique_by_followups,
                                score_pairs_excluding_perfect)
-
-
-def instances(max_kappa=3, max_len=3, max_guesses=3):
-    def build(args):
-        kappa, ell, seeds = args
-        guesses = tuple(
-            ScoredGuess(tuple(pegs), Score(black, extra))
-            for pegs, black, extra in seeds)
-        return MspInstance(Palette(kappa), ell, guesses)
-
-    def seeded(kappa, ell):
-        guess = st.tuples(
-            st.lists(st.integers(1, kappa), min_size=ell, max_size=ell),
-            st.integers(0, ell), st.integers(0, ell),
-        ).filter(lambda t: t[1] + t[2] <= ell)
-        return st.tuples(st.just(kappa), st.just(ell),
-                         st.lists(guess, max_size=max_guesses))
-
-    return st.tuples(st.integers(1, max_kappa),
-                     st.integers(1, max_len)).flatmap(
-        lambda kl: seeded(*kl)).map(build)
-
-
-@st.composite
-def games(draw, max_kappa=6, max_len=5, max_guesses=5):
-    """Guesses scored against a random secret, as in a game of Mastermind.
-
-    About a third of the scores are redrawn at random, so some instances
-    are UNSAT; the true-scored rest are often unique, which makes the
-    search past the witness run to exhaustion.
-    """
-    kappa = draw(st.integers(3, max_kappa))
-    ell = draw(st.integers(3, max_len))
-    palette = Palette(kappa)
-    codes = st.lists(st.integers(1, kappa), min_size=ell, max_size=ell).map(tuple)
-    secret = draw(codes)
-    guesses = []
-    for _ in range(draw(st.integers(1, max_guesses))):
-        pegs = draw(codes)
-        declared = score(pegs, secret, palette)
-        if draw(st.integers(0, 2)) == 0:
-            black = draw(st.integers(0, ell))
-            declared = Score(black, draw(st.integers(0, ell - black)))
-        guesses.append(ScoredGuess(pegs, declared))
-    return MspInstance(palette, ell, tuple(guesses))
+from strategies import first_solutions, games, instances
 
 
 @st.composite
@@ -149,15 +103,8 @@ class TestScorePairs:
             score_pairs_excluding_perfect(0)
 
 
-def first_solutions(instance, count):
-    """The first ``count`` solutions of a sweep of every code, in lex order."""
-    space = itertools.product(range(1, instance.kappa + 1), repeat=instance.length)
-    return tuple(itertools.islice(
-        (code for code in space if verify(instance, code)), count))
-
-
 @settings(max_examples=300, deadline=None)
-@given(instances())
+@given(instances(3, 3, 3))
 def test_agrees_with_enumeration_oracle(instance):
     report = is_unique(instance)
     solutions = first_solutions(instance, 2)
@@ -168,7 +115,7 @@ def test_agrees_with_enumeration_oracle(instance):
 
 
 @settings(max_examples=300, deadline=None)
-@given(instances())
+@given(instances(3, 3, 3))
 def test_follow_up_count_bounds(instance):
     report = is_unique(instance)
     budget = follow_up_budget(instance.length)
@@ -181,7 +128,7 @@ def test_follow_up_count_bounds(instance):
 
 
 @settings(max_examples=100, deadline=None)
-@given(instances())
+@given(instances(3, 3, 3))
 def test_engine_choice_does_not_matter(instance):
     # the whole report, followups_tried too, against one built from a sweep
     sweep = first_solutions(instance, 2)
