@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from operator import eq
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import Code, Palette, Score, validate_code
 from .errors import InvalidInputError, ResourceLimitError
@@ -144,10 +144,22 @@ def _multiset_feasible(search: _Search) -> bool | None:
     False is a proof of unsatisfiability, a root-level shortcut; True or
     None (step budget exhausted) says nothing.  Position-free reasoning is
     what makes refutations of dense cover encodings cheap: the shared vertex
-    budget and the per-edge totals conflict at this level already.
+    budget and the per-edge totals conflict at this level already.  On True
+    the multiset found is search.witness, node 0's witness (see _Search).
+
+    It is also the root positional check.  With nothing placed, the up-front
+    ``rest < targets`` test, made before any budget step, compares each
+    guess's open pegs (those no target-0 guess blocks) with its match total,
+    which is at least its black count.  So an instance whose root black
+    reach or gain falls short is refuted here, whatever the budget, and the
+    search's per-node tests may take both as holding at node 0.
     """
-    return _system_feasible(search.nslots, search.ell, search.by_color, search.cnt,
-                            search.w_target, _MULTISET_CHECK_BUDGET)
+    witness = [0] * (search.nslots + 1)
+    verdict = _system_feasible(search.nslots, search.ell, search.by_color, search.cnt,
+                               search.w_target, _MULTISET_CHECK_BUDGET, witness)
+    if verdict:
+        search.witness = witness
+    return verdict
 
 
 def _columns(counts: list[Counter]) -> dict[int, list[tuple[int, int]]]:
@@ -160,7 +172,8 @@ def _columns(counts: list[Counter]) -> dict[int, list[tuple[int, int]]]:
 
 
 def _system_feasible(nslots: int, ell: int, cols: dict[int, list[tuple[int, int]]],
-                     placed: list[int], targets: list[int], budget: int) -> bool | None:
+                     placed: list[int], targets: list[int], budget: int,
+                     witness: list[int]) -> bool | None:
     """Core of the multiset checks: exists k >= 0 per slot with
     sum(k) == ell and sum_s min(k_s, r_gs) == targets[g] for all g, where
     r_gs = max(t_gs - placed[s], 0) is what is left of guess g's count
@@ -175,9 +188,13 @@ def _system_feasible(nslots: int, ell: int, cols: dict[int, list[tuple[int, int]
     target 0 (else rest < targets refutes up front): a leaf asks only that
     the total can pad to ell.  The search loops over an explicit stack (no
     recursion limit); each node entered, the leaf too, takes a ``budget``
-    step.  False is a proof of infeasibility, None a spent budget.
+    step.  False is a proof of infeasibility, None a spent budget.  On
+    True, ``witness`` (zeros on entry, one entry per slot) holds the k
+    found per live slot, and witness[0] the copies that pad the total to
+    ell, each adding no match.
     """
     levels = []
+    live = []  # live[j]: the slot of levels[j]
     # rest[g]: match total still obtainable from slots not yet decided
     rest = [0] * len(targets)
     held = 0  # slots left in some guess
@@ -200,6 +217,7 @@ def _system_feasible(nslots: int, ell: int, cols: dict[int, list[tuple[int, int]
             for gi, r in row:
                 rest[gi] += r
             levels.append((row, top))
+            live.append(s)
     if any(r < t for r, t in zip(rest, targets)):
         return False
     depth = len(levels)
@@ -225,6 +243,9 @@ def _system_feasible(nslots: int, ell: int, cols: dict[int, list[tuple[int, int]
                 rest[gi] -= t
             infl[j] = inflatable
         elif total == ell or inflatable:
+            for j, s in enumerate(live):
+                witness[s] = ks[j]
+            witness[0] = ell - total
             return True
         else:
             row, topcap = (), -1  # a failed leaf: no k to try, so back up
@@ -287,42 +308,66 @@ class _Search:
     placement updates the counts once per slot; only writing the prefix
     loops over the slot's colors, ascending, so codes keep palette order.
 
-    Pruning (always on; removes no solutions):
+    Pruning (always on; removes no solutions).  A node at position i holds
+    three invariants for every guess g, each restored for every child:
+    black reach (b_par + open pegs from i on >= b_target, where a peg is
+    open unless blocked from the start), need <= ell - i (need is the match
+    target less m_par), and gain >= need (gain is what g's slots not blocked
+    or below the floor can still match).  At node 0 the root multiset check
+    has proved the first and third (see _multiset_feasible), and the second
+    holds as a score is at most ell.
 
-    * black counts: a partial assignment may never exceed a guess's declared
-      black count, and the open positions whose guess peg is not blocked
-      from the start must keep the exact count reachable.
-    * color matches: the running per-color match total for a guess may never
-      exceed declared black + white, and the deficit must stay coverable by
-      colors that are not blocked.
+    * black counts, once per node.  One pass over the open pegs at i finds
+      ``full``, the slots of guesses already at their black count (placing
+      one would exceed it), and ``forced``, the slot of a guess with b_par +
+      open pegs from i on == b_target, which needs every open peg it has
+      left and so this one.  Two different forced slots leave no child; any
+      other guess keeps its reach whatever is placed.
+    * need > rem, once per node: ``urgent`` holds the guesses with need ==
+      ell - i, and every placement must bump each of them.  At the last
+      position this is the leaf's match test.
+    * gain, only where it can change.  A placement of s (neither blocked
+      nor below the floor) lowers gain and need alike for each guess it
+      bumps, and leaves the others' alone.  So gain is re-tested only for
+      the guesses holding a newly blocked slot, and for every guess when
+      the floor rises.
     * blocked colors: once a guess reaches its match total (a guess declared
       (0, 0) from the start), a color it holds more pegs of than are placed
       can never be placed again.  blocked[c] counts those guesses.  It
       changes only when a placement saturates a guess (a blocked color is
       never placed), and then the residual multiset check runs.
-    * unconstrained tail: from tail_start on, every guess's peg is blocked
-      from the start, so no placement there adds a black peg (the black
-      bound has made each black count exact on entry).  The residual check
-      runs on every placement into the tail, where it asks whether any
-      completion is left; it prunes only on proof, in canonical and exact
-      mode alike.  The paper's reduction ends in such a tail: the positions
-      past guess 4's vertex row hold N everywhere.
+    * unconstrained tail: from tail_start on, no guess has an open peg, so
+      no placement there adds a black peg (the black reach has made each
+      black count exact on entry).  The residual check runs on every
+      placement into the tail, where it asks whether any completion is
+      left; it prunes only on proof, in canonical and exact mode alike.
+      The paper's reduction ends in such a tail: the positions past guess
+      4's vertex row hold N everywhere.
     * idle placements: an inert color (see top) with no guess peg at the
       position changes no count, so all such placements at a node lead to
       one subtree; once one adds no solution, the rest are skipped (a
       solution under a later one, given the first one's color there, is a
       lex-smaller solution under the first).
 
+    Witness reuse.  A node may hold a witness: a multiset (per-slot counts,
+    and at [0] a padding count of copies that add no match) that solves its
+    residual system, as a passing multiset check found it.  The root check
+    seeds node 0's, and a passing residual check the child's.  Placing a
+    slot s with w[s] >= 1, or an inert slot while the padding is >= 1,
+    draws that copy: the entry is decremented in place for the child and
+    restored afterwards, and the residual check that placement would fire
+    is skipped.  It could not return False: each guess s bumps loses one
+    from min(k_s, r_gs) and one from its target, any other guess keeps
+    both (a padding copy adds no match), and the total falls by one, so
+    the decremented multiset solves the child's system.  A placement that draws nothing passes the child
+    the witness of its own check, or none.
+
     The guess lists (by_color) are also the multiset checks' columns, with
     cnt placed.  Every position, the last too, takes one placement step:
-    with no position left, _feasible holds exactly when every declared
-    score is met.  The first placement's _feasible is the root positional
-    check: a placement only lowers black reach and gain - need, and need
-    and rem by at most one, so a failing root fails every first placement.
-
-    Every placement, the last too, yields its child (i + 1, floor) to run;
-    a child at position ell is a solution, which run copies from the
-    prefix and counts in ``found``.
+    at the last, the black rule and ``urgent`` admit only placements that
+    meet every declared score exactly.  Every placement yields its child
+    (i + 1, floor, witness) to run; a child at position ell is a solution,
+    which run copies from the prefix and counts in ``found``.
 
     Canonical mode, while found is 0 (preserves satisfiability and
     the lex-smallest solution but collapses interchangeable branches): once
@@ -382,31 +427,36 @@ class _Search:
         self.m_par = [0] * self.n
         self.prefix = [0] * self.ell
         self.found = 0  # solutions so far; canonical mode while none
+        self.witness = None  # node 0's witness, once the root check finds one
 
     def run(self, limit: int) -> list[Code]:
         """The first ``limit`` solutions; at the limit the loop stops, and the
-        generators it abandons are freed as run returns."""
+        generators it abandons are freed as run returns.  The root check
+        (_multiset_feasible) must not have refuted the instance."""
         # the positional tables; built here, a root-refuted call skips them
-        # at_pos[i][s]: guesses whose peg at position i is s.
+        # at_pos[i][s]: guesses whose open peg at position i is s (a peg is
+        # open unless its slot is blocked from the start)
         self.at_pos: list[dict[int, tuple[int, ...]]] = []
+        self.tail_start = 0  # the first position from which no peg is open
         for i in range(self.ell):
             here: dict[int, list[int]] = {}
             for gi, p in enumerate(self.pegs):
-                here.setdefault(p[i], []).append(gi)
+                if not self.blocked[p[i]]:
+                    here.setdefault(p[i], []).append(gi)
+            if here:
+                self.tail_start = i + 1
             self.at_pos.append({s: tuple(gs) for s, gs in here.items()})
 
-        # suffix_open[gi][i]: positions >= i where guess gi's peg is not
-        # blocked from the start.
-        self.suffix_open = [[0] * (self.ell + 1) for _ in range(self.n)]
-        for gi, p in enumerate(self.pegs):
-            acc = 0
-            for i in range(self.ell - 1, -1, -1):
-                if not self.blocked[p[i]]:
-                    acc += 1
-                self.suffix_open[gi][i] = acc
-        # tail_start: the first position from which no guess has an open peg
-        # (each suffix_open row falls to 0 there and stays 0)
-        self.tail_start = max((so.index(0) for so in self.suffix_open), default=0)
+        # suffix_open[i][gi]: open pegs of guess gi at positions >= i
+        self.suffix_open: list[list[int]] = []
+        acc = [0] * self.n
+        for here in reversed(self.at_pos):
+            acc = acc[:]
+            for gs in here.values():
+                for gi in gs:
+                    acc[gi] += 1
+            self.suffix_open.append(acc)
+        self.suffix_open.reverse()
 
         self.last_occ = [-1] * len(self.slots)
         for i, here in enumerate(self.at_pos):
@@ -415,7 +465,7 @@ class _Search:
         # one _dfs generator per node on an explicit stack, so the depth is
         # not bounded by the interpreter's recursion limit
         codes: list[Code] = []
-        stack = [self._dfs(0, 0, -1)]
+        stack = [self._dfs(0, 0, -1, self.witness)]
         while stack:
             child = next(stack[-1], None)
             if child is None:
@@ -429,91 +479,135 @@ class _Search:
                     break
         return codes
 
-    def _dfs(self, i: int, floor_c: int, floor_pos: int) -> Iterator[tuple[int, int, int]]:
-        # yields each child (i + 1, floor), a solution at i + 1 == ell, and
-        # resumes once run has searched or collected it; the floor starts at
-        # (0, -1), below every slot and position, and only canonical stream
-        # placements raise it; until then nothing is skipped
-        last = i + 1 == self.ell
+    def _dfs(self, i: int, floor_c: int, floor_pos: int,
+             w: list[int] | None) -> Iterator[tuple[int, int, int, list[int] | None]]:
+        # yields each child (i + 1, floor, witness), a solution at i + 1 ==
+        # ell, and resumes once run has searched or collected it; the floor
+        # starts at (0, -1), below every slot and position, and only
+        # canonical stream placements raise it; until then nothing is skipped
+        ell, b_par, b_target = self.ell, self.b_par, self.b_target
+        m_par, w_target, cnt, blocked = self.m_par, self.w_target, self.cnt, self.blocked
+        last = i + 1 == ell
         at_i = self.at_pos[i]
+
+        # the black rule and need > rem for every placement at once (see the
+        # class docstring)
+        ahead = self.suffix_open[i]
+        full = []
+        forced = 0
+        for s, gs in at_i.items():
+            for gi in gs:
+                if b_par[gi] == b_target[gi]:
+                    full.append(s)
+                elif b_par[gi] + ahead[gi] == b_target[gi]:
+                    if forced and forced != s:
+                        return
+                    forced = s
+        urgent = []
+        for gi in range(self.n):
+            if w_target[gi] - m_par[gi] == ell - i:
+                urgent.append(gi)
+
         idle_empty = False
-        for s in range(1, self.nslots + 1):
-            if self.blocked[s]:
+        for s in range(forced, forced + 1) if forced else range(1, self.nslots + 1):
+            if blocked[s] or s in full:
                 continue
             if s < floor_c and self.last_occ[s] < floor_pos:
                 continue
             hits = at_i.get(s, ())
-            inert = self.cnt[s] >= self.top[s]
+            k = cnt[s]
+            inert = k >= self.top[s]
             idle = inert and not hits
             if idle and idle_empty:
-                continue
-
-            ok = True
-            for gi in hits:
-                if self.b_par[gi] + 1 > self.b_target[gi]:
-                    ok = False
-                    break
-            if not ok:
                 continue
             # as s is not blocked, none of the guesses it bumps is saturated
             bumps = []
             if not inert:
                 for gi, t in self.by_color[s]:
-                    if t > self.cnt[s]:
+                    if t > k:
                         bumps.append(gi)
+            ok = True
+            for gi in urgent:
+                if gi not in bumps:
+                    ok = False
+                    break
+            if not ok:
+                continue
 
             for gi in hits:
-                self.b_par[gi] += 1
+                b_par[gi] += 1
             for gi in bumps:
-                self.m_par[gi] += 1
-            self.cnt[s] += 1
+                m_par[gi] += 1
+            cnt[s] = k + 1
             colors = self.slots[s]
             self.prefix[i] = colors.start  # the residual check's test reads prefix[:i + 1]
 
-            if not self.found and s >= floor_c and self.last_occ[s] < i:
+            raised = not self.found and s >= floor_c and self.last_occ[s] < i
+            if raised:
                 nf_c, nf_p = s, i  # ascend-only floor update
             else:
                 nf_c, nf_p = floor_c, floor_pos
-            # a guess saturated by this placement blocks its unfilled slots;
-            # the residual system then tends to become refutable, and in the
+            # a guess saturated by this placement blocks its unfilled slots,
+            # which lowers the gain of the guesses holding them; the
+            # residual system then tends to become refutable, and in the
             # tail it decides whether any completion is left
-            newly = [s2 for gi in bumps if self.m_par[gi] == self.w_target[gi]
-                     for s2, t in self.gcount[gi].items() if t > self.cnt[s2]]
+            newly = []
+            for gi in bumps:
+                if m_par[gi] == w_target[gi]:
+                    for s2, t in self.gcount[gi].items():
+                        if t > cnt[s2]:
+                            newly.append(s2)
             for s2 in newly:
-                self.blocked[s2] += 1
-            ok = self._feasible(i, nf_c, nf_p) and (
-                last or not (newly or i + 1 >= self.tail_start)
-                or self._residual_feasible(i) is not False)
+                blocked[s2] += 1
+            if raised:
+                ok = self._gain_reaches(range(self.n), nf_c, nf_p)
+            elif newly:
+                holders = []
+                for s2 in newly:
+                    for gi, t in self.by_color[s2]:
+                        if t > cnt[s2]:
+                            holders.append(gi)
+                ok = self._gain_reaches(holders, nf_c, nf_p)
+            used = -1  # the witness entry this placement draws, if any
+            cw = None
+            if ok and not last:
+                if w is not None and (w[s] or inert and w[0]):
+                    used = s if w[s] else 0
+                    w[used] -= 1
+                    cw = w
+                elif newly or i + 1 >= self.tail_start:
+                    cw = [0] * (self.nslots + 1)
+                    verdict = self._residual_feasible(i, cw)
+                    ok = verdict is not False
+                    if not verdict:
+                        cw = None
             seen = self.found  # an idle placement that adds nothing ends the slot
             for c in colors:
                 if ok:
                     self.prefix[i] = c
-                    yield i + 1, nf_c, nf_p
+                    yield i + 1, nf_c, nf_p, cw
                 if idle and self.found == seen:
                     idle_empty = True
                     break
+            if used >= 0:
+                w[used] += 1
             for s2 in newly:
-                self.blocked[s2] -= 1
+                blocked[s2] -= 1
 
-            self.cnt[s] -= 1
+            cnt[s] = k
             for gi in bumps:
-                self.m_par[gi] -= 1
+                m_par[gi] -= 1
             for gi in hits:
-                self.b_par[gi] -= 1
+                b_par[gi] -= 1
 
-    def _feasible(self, i: int, floor_c: int, floor_pos: int) -> bool:
-        """Can the suffix after position i still reach every declared score?"""
-        rem = self.ell - i - 1
-        nxt = i + 1
+    def _gain_reaches(self, guesses: Iterable[int], floor_c: int, floor_pos: int) -> bool:
+        """Can each of ``guesses`` still gain its need from the slots that
+        are neither blocked nor below the floor?"""
         cnt, blocked, last_occ = self.cnt, self.blocked, self.last_occ
-        for gi in range(self.n):
-            if self.b_par[gi] + self.suffix_open[gi][nxt] < self.b_target[gi]:
-                return False
+        for gi in guesses:
             need = self.w_target[gi] - self.m_par[gi]
             if need == 0:
                 continue
-            if need > rem:
-                return False
             gain = 0
             for s, t in self.gcount[gi].items():
                 # the ascending stream never revisits slots below the floor
@@ -530,8 +624,9 @@ class _Search:
                 return False
         return True
 
-    def _residual_feasible(self, i: int) -> bool | None:
-        """Multiset check on what is left after position i; False is a proof."""
+    def _residual_feasible(self, i: int, witness: list[int]) -> bool | None:
+        """Multiset check on what is left after position i; False is a proof,
+        and on True ``witness`` holds the multiset found."""
         targets = [w - m for w, m in zip(self.w_target, self.m_par)]
         return _system_feasible(self.nslots, self.ell - i - 1, self.by_color,
-                                self.cnt, targets, _RESIDUAL_CHECK_BUDGET)
+                                self.cnt, targets, _RESIDUAL_CHECK_BUDGET, witness)

@@ -311,12 +311,16 @@ def test_multiset_check_out_of_steps_says_nothing():
     # one step per node entered, the leaf included: (1, 2) at total 1
     # enters slot 1 at k 0, slot 2 at k 1, then the leaf
     cols = _columns([Counter((1, 2))])
-    verdicts = [_system_feasible(2, 1, cols, [0, 0, 0], [1], budget)
+    verdicts = [_system_feasible(2, 1, cols, [0, 0, 0], [1], budget, [0, 0, 0])
                 for budget in range(1, 5)]
     assert verdicts == [None, None, True, True]
+    # the multiset found: no copy of slot 1, one of slot 2, no padding
+    witness = [0, 0, 0]
+    assert _system_feasible(2, 1, cols, [0, 0, 0], [1], 3, witness) is True
+    assert witness == [0, 0, 1]
     # slot 2 is dead, and one copy of slot 1 cannot pad to length 2
     cols = _columns([Counter((1, 1)), Counter((2, 2))])
-    verdicts = [_system_feasible(2, 2, cols, [0, 0, 0], [1, 0], budget)
+    verdicts = [_system_feasible(2, 2, cols, [0, 0, 0], [1, 0], budget, [0, 0, 0])
                 for budget in range(1, 4)]
     assert verdicts == [None, False, False]
 
@@ -418,8 +422,8 @@ def test_residual_check_refutes_exactly_the_infeasible_residues(instance):
                for sg in instance.guesses]
     residual = _Search._residual_feasible
 
-    def checked(self, i):
-        verdict = residual(self, i)
+    def checked(self, i, witness):
+        verdict = residual(self, i, witness)
         if verdict is not None:
             placed = Counter(self.prefix[:i + 1])
             left = [(gc - placed, t - sum((gc & placed).values()))
@@ -505,37 +509,52 @@ def test_solve_finishes_on_a_reduction_with_a_long_tail():
 
 @pytest.mark.parametrize("layout", ["standard", "compact"])
 def test_residual_check_fires_on_every_placement_into_the_tail(monkeypatch, layout):
-    # from tail_start on every guess's peg is blocked from the start, so a
-    # placement there can gain no black peg and the residual check alone
-    # decides whether any completion is left; it must run on each such
-    # placement, not only on those that saturate a guess
+    # from tail_start on no guess has an open peg, so a placement there can
+    # gain no black peg and the residual check alone decides whether any
+    # completion is left; each such placement that passes the positional
+    # tests is checked, not only those that saturate a guess, unless it
+    # draws from the node's witness, which proves the check would pass
     graph = Graph(5, ((1, 3), (1, 5), (2, 4), (4, 5)))
     instance = reduce_vertex_cover(graph, 2, layout).instance
-    placed, checked, starts = Counter(), Counter(), set()
-    feasible, residual = _Search._feasible, _Search._residual_feasible
+    checked, drawn, starts = Counter(), Counter(), set()
+    passed = []  # a check that passed, before its placement yields
+    residual = _Search._residual_feasible
 
-    def counted_feasible(self, i, *args):
-        ok = feasible(self, i, *args)
-        # a placement at i that passes goes on to the residual check
-        # unless it fills the last position
-        if ok and self.tail_start <= i + 1 < self.ell:
-            placed[i] += 1
-        return ok
-
-    def counted_residual(self, i):
+    def counted_residual(self, i, witness):
         starts.add(self.tail_start)
         if i + 1 >= self.tail_start:
             checked[i] += 1
-        return residual(self, i)
+        verdict = residual(self, i, witness)
+        if verdict is not False:
+            passed.append(i)
+        return verdict
 
-    monkeypatch.setattr(_Search, "_feasible", counted_feasible)
+    def watch(search, args):
+        i, w = args[0], args[3]
+
+        def placed(child, local):
+            if search.prefix[i] != search.slots[local["s"]].start:
+                return  # a later color of the same placement
+            assert passed in ([], [i])
+            was_checked = bool(passed)
+            passed.clear()
+            if not search.tail_start <= i + 1 < search.ell:
+                return
+            was_drawn = child[3] is not None and child[3] is w
+            assert was_checked != was_drawn, search.prefix[:i + 1]
+            if was_drawn:
+                assert residual(search, i, [0] * (search.nslots + 1)) is not False
+                drawn[i] += 1
+        return placed
+
     monkeypatch.setattr(_Search, "_residual_feasible", counted_residual)
-    solve(instance)
-    enumerate_all(instance, cap=5)
+    with nodes_watched(watch):
+        solve(instance)
+        enumerate_all(instance, cap=5)
     # the positions past guess 4's vertex row hold N in every guess
     assert starts == {3 + graph.vertex_count}
     assert sum(checked.values()) > 0
-    assert checked == placed
+    assert sum(drawn.values()) > 0
 
 
 def reduction_solutions(artifact, count):
@@ -701,20 +720,103 @@ def check_search_state(search):
         assert (cnt[c] >= search.top[c]) == all(gc[c] <= cnt[c] for gc in search.gcount), c
 
 
+def check_node_rules(search, i, floor_c, floor_pos):
+    """full, forced and urgent at node i as their definitions give them, from
+    b_par, m_par and the open pegs ahead on entry, after checking the three
+    invariants the node takes from its parent (or node 0 from the root
+    check): black reach, need <= ell - i and gain >= need."""
+    dead = {s for gc, w in zip(search.gcount, search.w_target) if w == 0 for s in gc}
+    full, forced, urgent = set(), set(), []
+    for g, pegs in enumerate(search.pegs):
+        b, target = search.b_par[g], search.b_target[g]
+        ahead = sum(p not in dead for p in pegs[i:])
+        need = search.w_target[g] - search.m_par[g]
+        gain = sum(max(t - search.cnt[s], 0) for s, t in search.gcount[g].items()
+                   if not search.blocked[s]
+                   and not (s < floor_c and search.last_occ[s] < floor_pos))
+        assert b + ahead >= target and 0 <= need <= min(gain, search.ell - i), g
+        if pegs[i] not in dead:
+            if b == target:
+                full.add(pegs[i])
+            elif b + ahead == target:
+                forced.add(pegs[i])
+        if need == search.ell - i:
+            urgent.append(g)
+    return full, forced, urgent
+
+
 @contextmanager
-def search_state_checked():
-    """Run check_search_state at every node of every search in the body."""
-    feasible = _Search._feasible
+def nodes_watched(watch):
+    """Hook every search node in the body.  watch(search, args) runs as the
+    node starts and returns None or a callback, which runs at each child the
+    node yields, with the child and the node's locals."""
+    dfs = _Search._dfs
 
-    def checked(self, *args):
-        check_search_state(self)
-        return feasible(self, *args)
+    def watched(self, *args):
+        placed = watch(self, args)
+        node = dfs(self, *args)
+        for child in node:
+            if placed is not None:
+                placed(child, node.gi_frame.f_locals)
+            yield child
 
-    _Search._feasible = checked
+    _Search._dfs = watched
     try:
         yield
     finally:
-        _Search._feasible = feasible
+        _Search._dfs = dfs
+
+
+@contextmanager
+def search_state_checked():
+    """Run check_search_state at every node of every search in the body, and
+    check the node's full, forced and urgent; yields the nodes counted."""
+    nodes = Counter()
+
+    def watch(search, args):
+        i, floor_c, floor_pos, _ = args
+        check_search_state(search)
+        full, forced, urgent = check_node_rules(search, i, floor_c, floor_pos)
+        nodes["checked"] += 1
+
+        def placed(child, local):
+            # two different forced slots leave the node no child
+            assert len(forced) <= 1
+            assert set(local["full"]) == full
+            assert local["forced"] == min(forced, default=0)
+            assert local["urgent"] == urgent
+        return placed
+
+    with nodes_watched(watch):
+        yield nodes
+
+
+def check_witness(search, i, w):
+    """w solves the residual system of the node at position i exactly."""
+    cnt = search.cnt
+    assert sum(w) == search.ell - i
+    for g, gc in enumerate(search.gcount):
+        matches = sum(min(w[s], max(t - cnt[s], 0)) for s, t in gc.items())
+        assert matches == search.w_target[g] - search.m_par[g], g
+    slots = range(1, search.nslots + 1)
+    assert all(w[s] == 0 for s in slots if search.blocked[s])
+    # the padding goes on a slot where more copies add no match
+    assert not w[0] or any(
+        not search.blocked[s]
+        and all(w[s] >= t - cnt[s] for _, t in search.by_color.get(s, ()))
+        for s in slots)
+
+
+@contextmanager
+def witnesses_checked():
+    """Check the witness of every node that carries one, on entry; a drawn
+    witness is the one of the child it was drawn for."""
+    def watch(search, args):
+        if args[3] is not None:
+            check_witness(search, args[0], args[3])
+
+    with nodes_watched(watch):
+        yield
 
 
 @st.composite
@@ -733,14 +835,90 @@ def small_reductions(draw):
 @settings(max_examples=150, deadline=None)
 @given(games())
 def test_blocked_and_inert_colors_match_their_definitions_on_games(instance):
-    with search_state_checked():
+    with search_state_checked() as nodes:
+        solve(instance)
+        enumerate_all(instance, cap=3)
+    assert nodes["checked"] or _multiset_feasible(_Search(instance)) is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_reductions())
+def test_blocked_and_inert_colors_match_their_definitions_on_reductions(instance):
+    with search_state_checked() as nodes:
+        solve(instance)
+        enumerate_all(instance, cap=3)
+    assert nodes["checked"] or _multiset_feasible(_Search(instance)) is False
+
+
+def test_gain_is_retested_for_the_holders_of_newly_blocked_slots():
+    # a true-scored game where a saturating placement leaves another guess
+    # short of gain only through a slot below the stream floor, which the
+    # residual check does not see: without the gain test there, a child is
+    # entered with gain < need
+    instance = MspInstance(Palette(8), 5, tuple(
+        ScoredGuess(pegs, Score(*declared)) for pegs, declared in (
+            ((3, 5, 6, 5, 6), (0, 2)), ((1, 8, 2, 5, 5), (1, 0)),
+            ((3, 6, 6, 2, 6), (0, 2)), ((2, 1, 3, 1, 3), (1, 0)),
+            ((2, 4, 3, 1, 3), (1, 1)), ((7, 6, 6, 4, 5), (0, 3)))))
+    with search_state_checked() as nodes:
+        solve(instance)
+        enumerate_all(instance, cap=3)
+    assert nodes["checked"]
+
+
+# A witness that is off skips a residual check that would prune, which costs
+# nodes but changes no answer; these check the carried multisets themselves.
+@settings(max_examples=150, deadline=None)
+@given(games())
+def test_carried_witness_solves_the_residual_system_on_games(instance):
+    with witnesses_checked():
         solve(instance)
         enumerate_all(instance, cap=3)
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_reductions())
-def test_blocked_and_inert_colors_match_their_definitions_on_reductions(instance):
-    with search_state_checked():
+def test_carried_witness_solves_the_residual_system_on_reductions(instance):
+    with witnesses_checked():
         solve(instance)
         enumerate_all(instance, cap=3)
+
+
+@st.composite
+def short_reach_instances(draw):
+    """A (0, 0) guess kills its colors; another guess holds one of them and
+    declares more matches than its other pegs can give, and perhaps more
+    black pegs too.  Up to two random guesses ride along."""
+    kappa = draw(st.integers(2, 4))
+    ell = draw(st.integers(1, 5))
+    codes = st.lists(st.integers(1, kappa), min_size=ell, max_size=ell).map(tuple)
+    dead = draw(codes)
+    guesses = [ScoredGuess(dead, Score(0, 0))]
+    for _ in range(draw(st.integers(0, 2))):
+        black = draw(st.integers(0, ell))
+        guesses.append(ScoredGuess(draw(codes), Score(black, draw(st.integers(0, ell - black)))))
+    killed = {c for sg in guesses if sg.declared.color_matches == 0 for c in sg.guess}
+    pegs = draw(codes)
+    pegs = (draw(st.sampled_from(dead)),) + pegs[1:]
+    total = draw(st.integers(sum(c not in killed for c in pegs) + 1, ell))
+    black = draw(st.integers(0, total))
+    guesses.insert(draw(st.integers(0, len(guesses))),
+                   ScoredGuess(pegs, Score(black, total - black)))
+    return MspInstance(Palette(kappa), ell, tuple(guesses))
+
+
+@settings(max_examples=100, deadline=None)
+@given(short_reach_instances())
+def test_root_check_refutes_every_short_root_reach(instance):
+    # the search takes black reach and gain >= need as holding at node 0:
+    # a guess whose open pegs (those on no killed color) fall short of its
+    # black count or its match total is refuted before any node
+    killed = {c for sg in instance.guesses if sg.declared.color_matches == 0
+              for c in sg.guess}
+    assert any(sum(c not in killed for c in sg.guess) < sg.declared.color_matches
+               for sg in instance.guesses)
+    assert _multiset_feasible(_Search(instance)) is False
+    nodes = Counter()
+    with nodes_watched(lambda search, args: nodes.update(["entered"])):
+        assert solve(instance) == SolveOutcome(False, None)
+    assert not nodes
