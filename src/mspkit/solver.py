@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from operator import eq
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import Code, Palette, Score, validate_code
 from .errors import InvalidInputError, ResourceLimitError
@@ -326,11 +326,12 @@ class _Search:
     * need > rem, once per node: ``urgent`` holds the guesses with need ==
       ell - i, and every placement must bump each of them.  At the last
       position this is the leaf's match test.
-    * gain, only where it can change.  A placement of s (neither blocked
-      nor below the floor) lowers gain and need alike for each guess it
-      bumps, and leaves the others' alone.  So gain is re-tested only for
-      the guesses holding a newly blocked slot, and for every guess when
-      the floor rises.
+    * gain, on a saturation or a floor rise.  A placement of s (neither
+      blocked nor below the floor) lowers gain and need alike for each
+      guess it bumps, and leaves the others' alone.  Only newly blocked
+      slots or a risen floor can lower a gain further, so every guess is
+      re-tested then; a guess whose gain did not change passes by the
+      invariant.
     * blocked colors: once a guess reaches its match total (a guess declared
       (0, 0) from the start), a color it holds more pegs of than are placed
       can never be placed again.  blocked[c] counts those guesses.  It
@@ -559,15 +560,8 @@ class _Search:
                             newly.append(s2)
             for s2 in newly:
                 blocked[s2] += 1
-            if raised:
-                ok = self._gain_reaches(range(self.n), nf_c, nf_p)
-            elif newly:
-                holders = []
-                for s2 in newly:
-                    for gi, t in self.by_color[s2]:
-                        if t > cnt[s2]:
-                            holders.append(gi)
-                ok = self._gain_reaches(holders, nf_c, nf_p)
+            if raised or newly:
+                ok = self._gain_reaches(nf_c, nf_p)
             used = -1  # the witness entry this placement draws, if any
             cw = None
             if ok and not last:
@@ -600,11 +594,11 @@ class _Search:
             for gi in hits:
                 b_par[gi] -= 1
 
-    def _gain_reaches(self, guesses: Iterable[int], floor_c: int, floor_pos: int) -> bool:
-        """Can each of ``guesses`` still gain its need from the slots that
-        are neither blocked nor below the floor?"""
+    def _gain_reaches(self, floor_c: int, floor_pos: int) -> bool:
+        """Can every guess still gain its need from the slots that are
+        neither blocked nor below the floor?"""
         cnt, blocked, last_occ = self.cnt, self.blocked, self.last_occ
-        for gi in guesses:
+        for gi in range(self.n):
             need = self.w_target[gi] - self.m_par[gi]
             if need == 0:
                 continue

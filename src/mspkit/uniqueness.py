@@ -1,9 +1,9 @@
 """Deciding whether an instance pins down exactly one secret.
 
 ``is_unique`` (the default) looks for a second solution directly: the
-first two solutions in lexicographic order, from the one search that
-enumerate_all runs.  Its first is the witness s, the lex-smallest solution,
-and the instance is unique exactly when the search finds nothing past it.
+search that solve and enumerate_all run, stopped at its second solution.
+Its first is the witness s, the lex-smallest solution, and the instance is
+unique exactly when the search finds nothing past it.
 
 ``is_unique_by_followups`` is the paper's construction, kept as the oracle.
 A satisfiable instance with witness s is unique precisely when no extension
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .core import Code, Score, score
 from .errors import InvalidInputError
-from .solver import MspInstance, ScoredGuess, enumerate_all, solve
+from .solver import MspInstance, ScoredGuess, _backtrack, solve
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,8 @@ def score_pairs_excluding_perfect(ell: int) -> list[Score]:
 
 
 def is_unique(instance: MspInstance) -> UniquenessReport:
-    """Find the first two solutions in lexicographic order.
+    """Find the first two solutions in lexicographic order, in one search
+    that stops at the second.
 
     ``followups_tried`` keeps the follow-up construction's scale: 0 when
     unsatisfiable, the full pair count ell*(ell+3)/2 when unique, and
@@ -57,7 +58,7 @@ def is_unique(instance: MspInstance) -> UniquenessReport:
     never below is_unique_by_followups' count, which stops at the first
     satisfiable follow-up.
     """
-    codes = enumerate_all(instance, cap=2).codes
+    codes = _backtrack(instance, limit=2)
     if not codes:
         return UniquenessReport(False, False, None, 0)
     pairs = score_pairs_excluding_perfect(instance.length)

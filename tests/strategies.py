@@ -1,12 +1,14 @@
-"""Shared Hypothesis strategies and the brute-force sweep the tests compare with."""
+"""Shared Hypothesis strategies, the brute-force sweep the tests compare
+with, and a hook on the search's nodes."""
 
 import itertools
+from contextlib import contextmanager
 
 from hypothesis import strategies as st
 
 from mspkit.core import Palette, Score, score
 from mspkit.reduction import Graph
-from mspkit.solver import MspInstance, ScoredGuess, verify
+from mspkit.solver import MspInstance, ScoredGuess, _Search, verify
 
 
 def instances(max_kappa, max_len, max_guesses):
@@ -75,3 +77,25 @@ def first_solutions(instance, count):
     space = itertools.product(range(1, instance.kappa + 1), repeat=instance.length)
     return tuple(itertools.islice(
         (code for code in space if verify(instance, code)), count))
+
+
+@contextmanager
+def nodes_watched(watch):
+    """Hook every search node in the body.  watch(search, args) runs as the
+    node starts and returns None or a callback, which runs at each child the
+    node yields, with the child and the node's locals."""
+    dfs = _Search._dfs
+
+    def watched(self, *args):
+        placed = watch(self, args)
+        node = dfs(self, *args)
+        for child in node:
+            if placed is not None:
+                placed(child, node.gi_frame.f_locals)
+            yield child
+
+    _Search._dfs = watched
+    try:
+        yield
+    finally:
+        _Search._dfs = dfs

@@ -21,7 +21,7 @@ from mspkit.solver import (DEFAULT_EXHAUSTIVE_CAP, Enumeration, MspInstance,
                            _multiset_feasible, _Search, _sweep, _system_feasible,
                            enumerate_all, solve, verify)
 from mspkit.uniqueness import is_unique
-from strategies import first_solutions, games, instances
+from strategies import first_solutions, games, instances, nodes_watched
 
 
 @st.composite
@@ -746,28 +746,6 @@ def check_node_rules(search, i, floor_c, floor_pos):
 
 
 @contextmanager
-def nodes_watched(watch):
-    """Hook every search node in the body.  watch(search, args) runs as the
-    node starts and returns None or a callback, which runs at each child the
-    node yields, with the child and the node's locals."""
-    dfs = _Search._dfs
-
-    def watched(self, *args):
-        placed = watch(self, args)
-        node = dfs(self, *args)
-        for child in node:
-            if placed is not None:
-                placed(child, node.gi_frame.f_locals)
-            yield child
-
-    _Search._dfs = watched
-    try:
-        yield
-    finally:
-        _Search._dfs = dfs
-
-
-@contextmanager
 def search_state_checked():
     """Run check_search_state at every node of every search in the body, and
     check the node's full, forced and urgent; yields the nodes counted."""
@@ -851,10 +829,10 @@ def test_blocked_and_inert_colors_match_their_definitions_on_reductions(instance
 
 
 def test_gain_is_retested_for_the_holders_of_newly_blocked_slots():
-    # a true-scored game where a saturating placement leaves another guess
-    # short of gain only through a slot below the stream floor, which the
-    # residual check does not see: without the gain test there, a child is
-    # entered with gain < need
+    # a true-scored game where a saturating placement leaves another guess,
+    # one holding a newly blocked slot, short of gain only through a slot
+    # below the stream floor, which the residual check does not see: without
+    # the gain test on a saturation, a child is entered with gain < need
     instance = MspInstance(Palette(8), 5, tuple(
         ScoredGuess(pegs, Score(*declared)) for pegs, declared in (
             ((3, 5, 6, 5, 6), (0, 2)), ((1, 8, 2, 5, 5), (1, 0)),

@@ -1,5 +1,7 @@
 """Unique-solution detection against the enumeration oracle."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +11,7 @@ from mspkit.reduction import Graph, reduce_vertex_cover
 from mspkit.solver import MspInstance, ScoredGuess, enumerate_all, solve
 from mspkit.uniqueness import (UniquenessReport, is_unique, is_unique_by_followups,
                                score_pairs_excluding_perfect)
-from strategies import first_solutions, games, instances
+from strategies import first_solutions, games, instances, nodes_watched
 
 
 @st.composite
@@ -159,6 +161,28 @@ def test_one_search_agrees_with_follow_up_oracle_on_games(instance):
         extended = MspInstance(instance.palette, instance.length,
                                instance.guesses + (ScoredGuess(report.witness, pair),))
         assert solve(extended).satisfiable
+
+
+def search_nodes(call, instance):
+    """The result of call(instance), and the search nodes it entered."""
+    nodes = Counter()
+    with nodes_watched(lambda search, args: nodes.update(["entered"])):
+        result = call(instance)
+    return result, nodes["entered"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(games())
+def test_search_stops_at_the_second_solution(instance):
+    # the report reads two solutions; enumerate_all(cap=1) searches for
+    # exactly two (the second tells it whether to truncate), no further
+    report, nodes = search_nodes(is_unique, instance)
+    _, two_nodes = search_nodes(lambda x: enumerate_all(x, cap=1), instance)
+    assert nodes == two_nodes
+    codes = enumerate_all(instance, cap=2).codes
+    assert report.satisfiable == bool(codes)
+    assert report.unique == (len(codes) == 1)
+    assert report.witness == (codes[0] if codes else None)
 
 
 @settings(max_examples=100, deadline=None)
