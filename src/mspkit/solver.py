@@ -17,7 +17,8 @@ produced every declared score.  Two engines decide this:
 Nothing in the backtracking engine grows with kappa.  It works over slots:
 one per color some guess holds and one per maximal run of colors no guess
 holds.  Both multiset checks read a guess's slot counts as per-slot columns
-(_columns, built once per call); verify keeps its own color Counters.
+(_columns, built once per call), one search level per slot, the slots with
+the most pegs first; verify keeps its own color Counters.
 
 Both engines return identical answers and witnesses; the test suite enforces
 this differentially.
@@ -163,12 +164,18 @@ def _multiset_feasible(search: _Search) -> bool | None:
 
 
 def _columns(counts: list[Counter]) -> dict[int, list[tuple[int, int]]]:
-    """Per-slot columns, slots ascending: s -> [(g, pegs of s in guess g)]."""
+    """Per-slot columns, s -> [(g, pegs of s in guess g)], in fail-first
+    order: the column holding the most pegs first, ties by ascending slot.
+
+    The multiset checks take their levels in this order (Haralick & Elliott's
+    fail-first rule, fixed here once per search so that no check sorts);
+    everything else looks a column up by slot.
+    """
     cols: dict[int, list[tuple[int, int]]] = {}
     for gi, gc in enumerate(counts):
         for s, t in gc.items():
             cols.setdefault(s, []).append((gi, t))
-    return dict(sorted(cols.items()))
+    return dict(sorted(cols.items(), key=lambda kv: (-sum(t for _, t in kv[1]), kv[0])))
 
 
 def _system_feasible(nslots: int, ell: int, cols: dict[int, list[tuple[int, int]]],
@@ -181,17 +188,20 @@ def _system_feasible(nslots: int, ell: int, cols: dict[int, list[tuple[int, int]
     s are placed (an unheld slot's k counts the copies of all its colors).
 
     Only the live slots (left in some guess and in no target-0 guess) are
-    searched, one level each, trying k = 0, 1, ... copies; any other slot
-    adds no match and can only pad the total.  A k is tried only if each
-    guess in its row keeps running <= target <= running + rest, so at a leaf
-    (rest 0) each guess with a row meets its target, and one with none has
-    target 0 (else rest < targets refutes up front): a leaf asks only that
-    the total can pad to ell.  The search loops over an explicit stack (no
-    recursion limit); each node entered, the leaf too, takes a ``budget``
-    step.  False is a proof of infeasibility, None a spent budget.  On
-    True, ``witness`` (zeros on entry, one entry per slot) holds the k
-    found per live slot, and witness[0] the copies that pad the total to
-    ell, each adding no match.
+    searched, one level each in the order of ``cols`` (fail-first, see
+    _columns), trying k = 0, 1, ... copies; any other slot adds no match and
+    can only pad the total.  A k is tried only if each guess in its row
+    keeps running <= target <= running + rest, so at a leaf (rest 0) each
+    guess with a row meets its target, and one with none has target 0 (else
+    rest < targets refutes up front): a leaf asks only that the total can
+    pad to ell.  The search loops over an explicit stack (no recursion
+    limit); each node entered, the leaf too, takes a ``budget`` step.  False
+    is a proof of infeasibility, None a spent budget.  On True, ``witness``
+    (zeros on entry, one entry per slot) holds the k found per live slot,
+    and witness[0] the copies that pad the total to ell, each adding no
+    match.  Within budget the verdict does not depend on the level order;
+    only which calls spend their budget, and which witness a passing call
+    writes, do.
     """
     levels = []
     live = []  # live[j]: the slot of levels[j]

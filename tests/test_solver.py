@@ -325,6 +325,55 @@ def test_multiset_check_out_of_steps_says_nothing():
     assert verdicts == [None, False, False]
 
 
+def test_columns_put_the_most_pegs_first():
+    # slot 2 holds 3 pegs in one guess, slot 1 one peg in each of two: the
+    # order counts pegs, not guesses; ties keep ascending slots
+    cols = _columns([Counter({1: 1, 2: 3, 3: 1, 5: 2}), Counter({1: 1, 3: 2, 4: 1})])
+    assert list(cols) == [2, 3, 1, 5, 4]
+    assert cols[3] == [(0, 1), (1, 2)]
+
+
+@st.composite
+def residual_systems(draw):
+    """A search's columns, some slots placed, and the match totals left
+    once they are, from instances() or games()."""
+    instance = draw(st.one_of(instances(4, 5, 4), games(8, 7, 7)))
+    search = _Search(instance)
+    i = draw(st.integers(0, instance.length))
+    placed = [0] * (search.nslots + 1)
+    for s in draw(st.lists(st.integers(1, search.nslots), min_size=i, max_size=i)):
+        placed[s] += 1
+    targets = [max(w - sum(min(t, placed[s]) for s, t in gc.items()), 0)
+               for w, gc in zip(search.w_target, search.gcount)]
+    return search, placed, targets, instance.length - i
+
+
+@settings(max_examples=300, deadline=None)
+@given(residual_systems())
+def test_multiset_verdict_does_not_depend_on_the_level_order(system):
+    # the levels run in _columns' order; slot order must give the same
+    # verdict, though often another witness, and each witness must solve
+    # the system as defined
+    search, placed, targets, ell = system
+    verdicts = []
+    for cols in search.by_color, dict(sorted(search.by_color.items())):
+        witness = [0] * (search.nslots + 1)
+        verdict = _system_feasible(search.nslots, ell, cols, placed, targets,
+                                   10**6, witness)
+        assert verdict is not None
+        verdicts.append(verdict)
+        if verdict:
+            assert sum(witness) == ell
+            for gc, target in zip(search.gcount, targets):
+                assert sum(min(witness[s], max(t - placed[s], 0))
+                           for s, t in gc.items()) == target
+            # the padding goes on a slot where more copies add no match
+            assert not witness[0] or any(
+                all(witness[s] >= t - placed[s] for _, t in cols.get(s, ()))
+                for s in range(1, search.nslots + 1))
+    assert verdicts[0] is verdicts[1]
+
+
 def test_multiset_check_is_not_bounded_by_the_recursion_limit():
     # 1200 live colors, one search level each
     instance = MspInstance(Palette(1200), 1200, (
@@ -503,6 +552,24 @@ def test_solve_finishes_on_a_reduction_with_a_long_tail():
     instance = reduce_vertex_cover(Graph(12, edges), 6).instance
     assert (instance.length, instance.kappa) == (44, 31)
     with time_limit(30):
+        witness = solve(instance).witness
+    assert verify(instance, witness)
+
+
+def test_solve_finishes_on_a_hub_reduction():
+    # 500 edges on 100 vertices, each touching one of vertices 1-25, drawn
+    # from random.Random(6); in slot order the multiset checks spent their
+    # step budgets here and solve ran past 30 s
+    rng = random.Random(6)
+    edges = set()
+    while len(edges) < 500:
+        a = rng.randint(1, 25)
+        b = rng.randint(1, 100)
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    instance = reduce_vertex_cover(Graph(100, tuple(sorted(edges))), 25).instance
+    assert (instance.length, instance.kappa) == (703, 602)
+    with time_limit(10):
         witness = solve(instance).witness
     assert verify(instance, witness)
 
