@@ -329,10 +329,11 @@ class _Search:
 
     * black counts, once per node.  One pass over the open pegs at i finds
       ``full``, the slots of guesses already at their black count (placing
-      one would exceed it), and ``forced``, the slot of a guess with b_par +
-      open pegs from i on == b_target, which needs every open peg it has
-      left and so this one.  Two different forced slots leave no child; any
-      other guess keeps its reach whatever is placed.
+      one would exceed it), and ``forced``, the slot of a guess with b_par
+      == lo, the lower bound at_pos keeps beside each open peg (b_target
+      less the guess's open pegs from i on): that guess needs every open
+      peg it has left, and so this one.  Two different forced slots leave no
+      child; any other guess keeps its reach whatever is placed.
     * need > rem, once per node: ``urgent`` holds the guesses with need ==
       ell - i, and every placement must bump each of them.  At the last
       position this is the leaf's match test.
@@ -444,35 +445,28 @@ class _Search:
         """The first ``limit`` solutions; at the limit the loop stops, and the
         generators it abandons are freed as run returns.  The root check
         (_multiset_feasible) must not have refuted the instance."""
-        # the positional tables; built here, a root-refuted call skips them
-        # at_pos[i][s]: guesses whose open peg at position i is s (a peg is
-        # open unless its slot is blocked from the start)
-        self.at_pos: list[dict[int, tuple[int, ...]]] = []
-        self.tail_start = 0  # the first position from which no peg is open
-        for i in range(self.ell):
-            here: dict[int, list[int]] = {}
+        # the positional table, built here, so a root-refuted call skips it.
+        # at_pos[i][s]: (g, lo) for each guess g whose open peg at position i
+        # is s (a peg is open unless its slot is blocked from the start), lo
+        # being b_target[g] less g's open pegs at positions >= i; a position
+        # with no open peg holds the one shared empty dict
+        empty: dict[int, tuple[tuple[int, int], ...]] = {}
+        self.at_pos = [empty] * self.ell
+        self.last_occ = [-1] * len(self.slots)  # the last position with s open
+        ahead = [0] * self.n
+        for i in reversed(range(self.ell)):
+            here: dict[int, list[tuple[int, int]]] = {}
             for gi, p in enumerate(self.pegs):
                 if not self.blocked[p[i]]:
-                    here.setdefault(p[i], []).append(gi)
+                    ahead[gi] += 1
+                    here.setdefault(p[i], []).append((gi, self.b_target[gi] - ahead[gi]))
             if here:
-                self.tail_start = i + 1
-            self.at_pos.append({s: tuple(gs) for s, gs in here.items()})
-
-        # suffix_open[i][gi]: open pegs of guess gi at positions >= i
-        self.suffix_open: list[list[int]] = []
-        acc = [0] * self.n
-        for here in reversed(self.at_pos):
-            acc = acc[:]
-            for gs in here.values():
-                for gi in gs:
-                    acc[gi] += 1
-            self.suffix_open.append(acc)
-        self.suffix_open.reverse()
-
-        self.last_occ = [-1] * len(self.slots)
-        for i, here in enumerate(self.at_pos):
+                self.at_pos[i] = {s: tuple(hits) for s, hits in here.items()}
             for s in here:
-                self.last_occ[s] = i
+                if self.last_occ[s] < 0:
+                    self.last_occ[s] = i
+        # the first position from which no peg is open
+        self.tail_start = max(self.last_occ) + 1
         # one _dfs generator per node on an explicit stack, so the depth is
         # not bounded by the interpreter's recursion limit
         codes: list[Code] = []
@@ -503,14 +497,13 @@ class _Search:
 
         # the black rule and need > rem for every placement at once (see the
         # class docstring)
-        ahead = self.suffix_open[i]
         full = []
         forced = 0
-        for s, gs in at_i.items():
-            for gi in gs:
+        for s, hits in at_i.items():
+            for gi, lo in hits:
                 if b_par[gi] == b_target[gi]:
                     full.append(s)
-                elif b_par[gi] + ahead[gi] == b_target[gi]:
+                elif b_par[gi] == lo:
                     if forced and forced != s:
                         return
                     forced = s
@@ -545,7 +538,7 @@ class _Search:
             if not ok:
                 continue
 
-            for gi in hits:
+            for gi, _ in hits:
                 b_par[gi] += 1
             for gi in bumps:
                 m_par[gi] += 1
@@ -601,7 +594,7 @@ class _Search:
             cnt[s] = k
             for gi in bumps:
                 m_par[gi] -= 1
-            for gi in hits:
+            for gi, _ in hits:
                 b_par[gi] -= 1
 
     def _gain_reaches(self, floor_c: int, floor_pos: int) -> bool:

@@ -61,11 +61,18 @@ def is_unique(instance: MspInstance) -> UniquenessReport:
     codes = _backtrack(instance, limit=2)
     if not codes:
         return UniquenessReport(False, False, None, 0)
-    pairs = score_pairs_excluding_perfect(instance.length)
+    ell = instance.length
     if len(codes) == 1:
-        return UniquenessReport(True, True, codes[0], len(pairs))
-    rank = pairs.index(score(codes[0], codes[1], instance.palette)) + 1
-    return UniquenessReport(True, False, codes[0], rank)
+        return UniquenessReport(True, True, codes[0], ell * (ell + 3) // 2)
+    black, white = score(codes[0], codes[1], instance.palette)
+    return UniquenessReport(True, False, codes[0], _pair_rank(ell, black, white))
+
+
+def _pair_rank(ell: int, black: int, white: int) -> int:
+    """The 1-based position of (black, white) in
+    score_pairs_excluding_perfect(ell): each black count b below it comes
+    first with its ell - b + 1 whites."""
+    return black * (ell + 1) - black * (black - 1) // 2 + white + 1
 
 
 def is_unique_by_followups(instance: MspInstance) -> UniquenessReport:

@@ -875,6 +875,38 @@ def small_reductions(draw):
     return reduce_vertex_cover(Graph(nv, tuple(edges)), n, layout).instance
 
 
+def check_positional_table(search):
+    """at_pos, last_occ and tail_start against their definitions: at_pos[i]
+    pairs each guess whose open peg at i is s (one on no slot of a guess
+    declared (0, 0)) with its black count less its open pegs from i on."""
+    dead = {s for gc, w in zip(search.gcount, search.w_target) if w == 0 for s in gc}
+    want = []
+    for i in range(search.ell):
+        here = {}
+        for g, pegs in enumerate(search.pegs):
+            if pegs[i] not in dead:
+                ahead = sum(p not in dead for p in pegs[i:])
+                here.setdefault(pegs[i], []).append((g, search.b_target[g] - ahead))
+        want.append([(s, tuple(hits)) for s, hits in here.items()])
+    assert [list(here.items()) for here in search.at_pos] == want
+    for s in range(len(search.slots)):
+        last = max((i for i, here in enumerate(want) if s in dict(here)), default=-1)
+        assert search.last_occ[s] == last, s
+    assert search.tail_start == min(i for i in range(search.ell + 1) if not any(want[i:]))
+    # every position with no open peg, the tail's too, holds one shared dict
+    empty = [here for here in search.at_pos if not here]
+    assert all(here is empty[0] for here in empty)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(instances(4, 5, 4), games(), small_reductions()))
+def test_positional_table_matches_its_definition(instance):
+    search = _Search(instance)
+    if _multiset_feasible(search) is not False:
+        search.run(1)
+        check_positional_table(search)
+
+
 # A blocked count that runs low prunes less but removes no solution, so the
 # answer tests cannot see it; these check the counts themselves.
 @settings(max_examples=150, deadline=None)

@@ -9,8 +9,8 @@ from mspkit.core import Palette, Score, score
 from mspkit.errors import InvalidInputError
 from mspkit.reduction import Graph, reduce_vertex_cover
 from mspkit.solver import MspInstance, ScoredGuess, enumerate_all, solve
-from mspkit.uniqueness import (UniquenessReport, is_unique, is_unique_by_followups,
-                               score_pairs_excluding_perfect)
+from mspkit.uniqueness import (UniquenessReport, _pair_rank, is_unique,
+                               is_unique_by_followups, score_pairs_excluding_perfect)
 from strategies import first_solutions, games, instances, nodes_watched
 
 
@@ -83,6 +83,13 @@ class TestScorePairs:
     def test_count_formula_up_to_fifty(self):
         for ell in range(1, 51):
             assert len(score_pairs_excluding_perfect(ell)) == follow_up_budget(ell)
+
+    def test_rank_formula_up_to_forty(self):
+        # is_unique ranks the second solution's score in closed form
+        for ell in range(1, 41):
+            pairs = score_pairs_excluding_perfect(ell)
+            for p in pairs:
+                assert _pair_rank(ell, *p) == pairs.index(p) + 1, (ell, p)
 
     def test_perfect_pair_excluded(self):
         assert Score(3, 0) not in score_pairs_excluding_perfect(3)
