@@ -10,6 +10,7 @@ Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -177,7 +178,15 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     return EXIT_YES if all_agree else EXIT_NO
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call.
+
+    Sharing is safe: each parse_args fills a fresh Namespace, and argparse
+    looks up sys.stdout, sys.stderr and the terminal width when it prints,
+    not here.  The cmd_* functions read solve, verify and the rest from
+    this module's globals when they run.
+    """
     parser = argparse.ArgumentParser(
         prog="mspkit",
         description="Mastermind satisfiability: solve, verify, and reduce vertex cover.")

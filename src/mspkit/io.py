@@ -71,9 +71,10 @@ def parse_instance(text: str) -> MspInstance:
             raise ParseError("missing-header", lineno, "msp header must come first")
         if fields[0] != "g":
             raise ParseError("bad-line", lineno, f"unexpected line start {fields[0]!r}")
-        if ":" not in fields:
-            raise ParseError("bad-line", lineno, "guess line needs ': <black> <white>'")
-        sep = fields.index(":")
+        try:
+            sep = fields.index(":")
+        except ValueError:
+            raise ParseError("bad-line", lineno, "guess line needs ': <black> <white>'") from None
         peg_tokens, score_tokens = fields[1:sep], fields[sep + 1:]
         if len(peg_tokens) != ell:
             raise ParseError("peg-count", lineno,

@@ -18,7 +18,8 @@ Nothing in the backtracking engine grows with kappa.  It works over slots:
 one per color some guess holds and one per maximal run of colors no guess
 holds.  Both multiset checks read a guess's slot counts as per-slot columns
 (_columns, built once per call), one search level per slot, the slots with
-the most pegs first; verify keeps its own color Counters.
+the most pegs first.  verify keeps its own count of the candidate's colors
+and reads each guess's counts of those colors off a sorted copy of it.
 
 Both engines return identical answers and witnesses; the test suite enforces
 this differentially.
@@ -26,6 +27,7 @@ this differentially.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -83,16 +85,26 @@ class Enumeration(NamedTuple):
 def verify(instance: MspInstance, candidate: Code) -> bool:
     """True iff ``candidate`` reproduces every declared score.
 
-    Runs in O(#guesses * length); guesses were validated when the instance
-    was built, so only the candidate is checked here.
+    Runs in O(#guesses * length * log length); guesses were validated when
+    the instance was built, so only the candidate is checked here.  A
+    guess's count of each color it shares with the candidate is read off
+    one sorted copy of the guess, so a guess whose pegs are mostly a color
+    the candidate lacks costs no per-color table.
     """
     validate_code(candidate, instance.palette, length=instance.length)
     cand_counts = Counter(candidate)
     for sg in instance.guesses:
-        black = sum(map(eq, sg.guess, candidate))
+        guess = sg.guess
+        black = sum(map(eq, guess, candidate))
         if black != sg.declared.black:
             return False
-        matches = sum((Counter(sg.guess) & cand_counts).values())
+        matches = 0
+        shared = cand_counts.keys() & set(guess)
+        if shared:
+            ordered = sorted(guess)
+            for c in shared:
+                n = bisect_right(ordered, c) - bisect_left(ordered, c)
+                matches += min(n, cand_counts[c])
         if matches - black != sg.declared.white:
             return False
     return True

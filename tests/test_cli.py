@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from mspkit.cli import (EXIT_INTERNAL, EXIT_NO, EXIT_RESOURCE, EXIT_USAGE,
-                        EXIT_YES, main)
+                        EXIT_YES, build_parser, main)
 from mspkit.io import parse_instance
-from mspkit.solver import verify
+from mspkit.solver import DEFAULT_EXHAUSTIVE_CAP, verify
 from test_solver import time_limit
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -342,6 +342,33 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "1 2\n"
+
+
+def test_calls_in_one_process_match_fresh_processes(capsys, tmp_path):
+    # the parser is built once and shared; no option of one call may leak
+    # into the next: a kept --cap 2 would refuse the 4-candidate sweep
+    # (exit 3), and a kept --all would refuse --mode exhaustive (exit 2)
+    path = tmp_path / "free.msp"
+    path.write_text("msp 2 2\n")
+    calls = [["--cap", "2", "solve", "--all", str(path)],
+             ["solve", "--mode", "exhaustive", str(path)],
+             ["solve", "--mode", "bogus", str(path)],
+             ["verify", str(path), "2 1"]]
+    seen = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        seen.append((code, capsys.readouterr().out))
+    fresh = [subprocess.run([sys.executable, "-m", "mspkit", *argv],
+                            capture_output=True, text=True) for argv in calls]
+    assert seen == [(proc.returncode, proc.stdout) for proc in fresh]
+    assert seen == [(EXIT_YES, "1 1\n1 2\n"), (EXIT_YES, "1 1\n"),
+                    (EXIT_USAGE, ""), (EXIT_YES, "VALID\n")]
+    assert build_parser() is build_parser()
+    args = build_parser().parse_args(["solve", str(path)])
+    assert (args.all, args.mode, args.cap) == (False, "backtrack", DEFAULT_EXHAUSTIVE_CAP)
 
 
 def test_reader_closing_pipe_early_is_quiet(tmp_path):

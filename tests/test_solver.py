@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mspkit.solver
-from mspkit.core import Palette, Score, score, validate_code
+from mspkit.core import Palette, Score, naive_score, score, validate_code
 from mspkit.errors import InvalidInputError, ResourceLimitError
 from mspkit.reduction import (Graph, brute_force_vertex_cover, is_vertex_cover,
                               reduce_vertex_cover)
@@ -247,6 +247,60 @@ def test_adding_a_true_score_keeps_witness(instance):
             probe, score_codes(probe, witness, instance.palette)),))
     assert verify(extended, witness)
     assert solve(extended).satisfiable
+
+
+@st.composite
+def verify_cases(draw):
+    """An instance and a candidate to verify against it.
+
+    As in the reduction, most guess pegs are one filler color, and the
+    candidate may hold colors that no guess holds.  Most scores are the
+    secret's; the candidate is the secret, the secret with one peg changed,
+    or any code.
+    """
+    kappa, ell = draw(st.integers(2, 9)), draw(st.integers(1, 7))
+    palette = Palette(kappa)
+    held = draw(st.integers(1, kappa))  # the guesses hold colors 1..held only
+    filler = draw(st.integers(1, held))
+    guess_peg = st.sampled_from([filler] * 3 + list(range(1, held + 1)))
+    any_code = st.lists(st.integers(1, kappa), min_size=ell, max_size=ell).map(tuple)
+    secret = draw(any_code)
+    guesses = []
+    for pegs in draw(st.lists(st.lists(guess_peg, min_size=ell, max_size=ell),
+                              min_size=1, max_size=4)):
+        declared = naive_score(tuple(pegs), secret, palette)
+        if draw(st.integers(0, 3)) == 0:
+            black = draw(st.integers(0, ell))
+            declared = Score(black, draw(st.integers(0, ell - black)))
+        guesses.append(ScoredGuess(tuple(pegs), declared))
+    mutated = st.tuples(st.integers(0, ell - 1), st.integers(1, kappa)).map(
+        lambda ic: secret[:ic[0]] + (ic[1],) + secret[ic[0] + 1:])
+    candidate = draw(st.one_of(st.just(secret), mutated, any_code))
+    return MspInstance(palette, ell, tuple(guesses)), candidate
+
+
+def test_verify_matches_the_score_definition():
+    # the verdict the definition gives: True, or the first failing guess's
+    # black or white count is off; all three must be drawn
+    verdicts = Counter()
+
+    @settings(max_examples=400, deadline=None)
+    @given(verify_cases())
+    def check(case):
+        instance, candidate = case
+        expected = True
+        for sg in instance.guesses:
+            got = naive_score(sg.guess, candidate, instance.palette)
+            if got != sg.declared:
+                expected = "black" if got.black != sg.declared.black else "white"
+                break
+        verdicts[expected] += 1
+        assert verify(instance, candidate) is (expected is True)
+
+    check()
+    print(f"verify verdicts drawn: {verdicts[True]} True, "
+          f"{verdicts['black']} False on black, {verdicts['white']} False on white")
+    assert verdicts[True] and verdicts["black"] and verdicts["white"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -523,6 +577,16 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_verify_on_all_distinct_long_guess_stays_fast():
+    # all 20 000 colors are shared: a scan of the guess per shared color is
+    # quadratic (seconds); one sorted copy of the guess keeps it to milliseconds
+    ell = 20000
+    instance = MspInstance(Palette(ell), ell, (
+        ScoredGuess(tuple(range(1, ell + 1)), Score(0, ell)),))
+    with time_limit(1):
+        assert verify(instance, tuple(range(ell, 0, -1)))
 
 
 @pytest.mark.parametrize("layout", ["standard", "compact"])
