@@ -3,7 +3,8 @@
 Exit codes: 0 = YES / true / valid / unique, 1 = NO / false / invalid /
 not-unique, 2 = usage or parse error, 3 = resource limit exceeded or out
 of memory, 4 = internal error (an unexpected exception; no answer was
-reached).
+reached), 141 = the reader closed stdout before the output was written
+(128 + SIGPIPE, what a shell reports for a writer that SIGPIPE ended).
 Results go to stdout, diagnostics to stderr.
 """
 
@@ -28,6 +29,7 @@ EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE; a literal, as Windows has no signal.SIGPIPE
 
 
 def _fail(message: str) -> None:
@@ -244,10 +246,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except BrokenPipeError:
-        # the reader went away (e.g. piping into head); die quietly
+        # the reader went away (e.g. piping into head); die quietly, and
+        # not with exit 1, which would read as NO
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        return EXIT_NO
+        return EXIT_BROKEN_PIPE
     except (ParseError, InvalidInputError) as exc:
         _fail(str(exc))
         return EXIT_USAGE

@@ -144,8 +144,8 @@ def _backtrack(instance: MspInstance, limit: int) -> list[Code]:
     return search.run(limit)
 
 
-_MULTISET_CHECK_BUDGET = 200_000
-_RESIDUAL_CHECK_BUDGET = 50_000
+# steps per multiset check, the root check and every residual check alike
+_CHECK_BUDGET = 200_000
 
 
 def _multiset_feasible(search: _Search) -> bool | None:
@@ -169,7 +169,7 @@ def _multiset_feasible(search: _Search) -> bool | None:
     """
     witness = [0] * (search.nslots + 1)
     verdict = _system_feasible(search.nslots, search.ell, search.by_color, search.cnt,
-                               search.w_target, _MULTISET_CHECK_BUDGET, witness)
+                               search.w_target, _CHECK_BUDGET, witness)
     if verdict:
         search.witness = witness
     return verdict
@@ -316,6 +316,8 @@ def _system_feasible(nslots: int, ell: int, cols: dict[int, list[tuple[int, int]
 def _sweep(instance: MspInstance, cap: int) -> Iterator[Code]:
     """Every solution in lexicographic order, by checking every candidate;
     raises ResourceLimitError at once if there are more than ``cap``."""
+    if not isinstance(cap, int) or cap < 1:
+        raise InvalidInputError(f"exhaustive cap must be a positive integer, got {cap!r}")
     total = instance.kappa ** instance.length
     if total > cap:
         raise ResourceLimitError(f"exhaustive search over {total} candidates exceeds cap {cap}")
@@ -359,14 +361,15 @@ class _Search:
       (0, 0) from the start), a color it holds more pegs of than are placed
       can never be placed again.  blocked[c] counts those guesses.  It
       changes only when a placement saturates a guess (a blocked color is
-      never placed), and then the residual multiset check runs.
-    * unconstrained tail: from tail_start on, no guess has an open peg, so
-      no placement there adds a black peg (the black reach has made each
-      black count exact on entry).  The residual check runs on every
-      placement into the tail, where it asks whether any completion is
-      left; it prunes only on proof, in canonical and exact mode alike.
-      The paper's reduction ends in such a tail: the positions past guess
-      4's vertex row hold N everywhere.
+      never placed).
+    * residual multiset check, on every placement the other rules admit
+      before the last position, unless it draws from the node's witness
+      (see Witness reuse): can any multiset of the positions left still
+      hit every guess's match total?  It prunes only on proof, in
+      canonical and exact mode alike.  In an unconstrained tail, where no
+      guess has an open peg (the paper's reduction ends in one: the
+      positions past guess 4's vertex row hold N everywhere), it alone
+      decides whether any completion is left.
     * idle placements: an inert color (see top) with no guess peg at the
       position changes no count, so all such placements at a node lead to
       one subtree; once one adds no solution, the rest are skipped (a
@@ -379,12 +382,13 @@ class _Search:
     seeds node 0's, and a passing residual check the child's.  Placing a
     slot s with w[s] >= 1, or an inert slot while the padding is >= 1,
     draws that copy: the entry is decremented in place for the child and
-    restored afterwards, and the residual check that placement would fire
-    is skipped.  It could not return False: each guess s bumps loses one
-    from min(k_s, r_gs) and one from its target, any other guess keeps
-    both (a padding copy adds no match), and the total falls by one, so
-    the decremented multiset solves the child's system.  A placement that draws nothing passes the child
-    the witness of its own check, or none.
+    restored afterwards, and the placement's residual check is skipped.
+    It could not return False: each guess s bumps loses one from
+    min(k_s, r_gs) and one from its target, any other guess keeps both (a
+    padding copy adds no match), and the total falls by one, so the
+    decremented multiset solves the child's system.  A placement that
+    draws nothing runs the check and passes the child the witness it
+    found, or none.
 
     The guess lists (by_color) are also the multiset checks' columns, with
     cnt placed.  Every position, the last too, takes one placement step:
@@ -477,8 +481,6 @@ class _Search:
             for s in here:
                 if self.last_occ[s] < 0:
                     self.last_occ[s] = i
-        # the first position from which no peg is open
-        self.tail_start = max(self.last_occ) + 1
         # one _dfs generator per node on an explicit stack, so the depth is
         # not bounded by the interpreter's recursion limit
         codes: list[Code] = []
@@ -564,9 +566,8 @@ class _Search:
             else:
                 nf_c, nf_p = floor_c, floor_pos
             # a guess saturated by this placement blocks its unfilled slots,
-            # which lowers the gain of the guesses holding them; the
-            # residual system then tends to become refutable, and in the
-            # tail it decides whether any completion is left
+            # which lowers the gain of the guesses holding them, so the gain
+            # is tested again
             newly = []
             for gi in bumps:
                 if m_par[gi] == w_target[gi]:
@@ -584,7 +585,7 @@ class _Search:
                     used = s if w[s] else 0
                     w[used] -= 1
                     cw = w
-                elif newly or i + 1 >= self.tail_start:
+                else:
                     cw = [0] * (self.nslots + 1)
                     verdict = self._residual_feasible(i, cw)
                     ok = verdict is not False
@@ -638,4 +639,4 @@ class _Search:
         and on True ``witness`` holds the multiset found."""
         targets = [w - m for w, m in zip(self.w_target, self.m_par)]
         return _system_feasible(self.nslots, self.ell - i - 1, self.by_color,
-                                self.cnt, targets, _RESIDUAL_CHECK_BUDGET, witness)
+                                self.cnt, targets, _CHECK_BUDGET, witness)

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from mspkit.cli import (EXIT_INTERNAL, EXIT_NO, EXIT_RESOURCE, EXIT_USAGE,
-                        EXIT_YES, build_parser, main)
+from mspkit.cli import (EXIT_BROKEN_PIPE, EXIT_INTERNAL, EXIT_NO, EXIT_RESOURCE,
+                        EXIT_USAGE, EXIT_YES, build_parser, main)
 from mspkit.io import parse_instance
 from mspkit.solver import DEFAULT_EXHAUSTIVE_CAP, verify
 from test_solver import time_limit
@@ -96,6 +96,16 @@ class TestSolve:
         code, _, err = run(capsys, "--cap", "10", "solve", "--mode", "exhaustive", str(path))
         assert code == EXIT_RESOURCE
         assert "error:" in err
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_exhaustive_cap_below_one_is_a_usage_error(self, capsys, tmp_path, cap):
+        # not "exceeds cap -1" with exit 3: --all rejects the same cap with 2
+        path = tmp_path / "free.msp"
+        path.write_text("msp 2 2\n")
+        code, out, err = run(capsys, "--cap", cap, "solve", "--mode", "exhaustive", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "positive integer" in err
 
     def test_all_runs_no_other_mode(self, capsys, tmp_path):
         path = tmp_path / "free.msp"
@@ -372,7 +382,9 @@ def test_calls_in_one_process_match_fresh_processes(capsys, tmp_path):
 
 
 def test_reader_closing_pipe_early_is_quiet(tmp_path):
-    # 6^6 solutions overflow the pipe buffer, so the writer sees EPIPE
+    # 6^6 solutions overflow the pipe buffer, so the writer sees EPIPE.  The
+    # instance is satisfiable, so exit 1 (NO) would misstate it; 141 is what
+    # a shell reports for a writer that SIGPIPE ended (128 + 13)
     instance = tmp_path / "open.msp"
     instance.write_text("msp 6 6\n")
     proc = subprocess.Popen(
@@ -382,5 +394,5 @@ def test_reader_closing_pipe_early_is_quiet(tmp_path):
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait() == EXIT_NO
+    assert proc.wait() == EXIT_BROKEN_PIPE == 141
     assert b"Traceback" not in err

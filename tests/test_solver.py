@@ -178,6 +178,13 @@ class TestCaps:
     def test_default_cap_is_generous(self):
         assert DEFAULT_EXHAUSTIVE_CAP >= 10 ** 6
 
+    @pytest.mark.parametrize("cap", [0, -1, 2.0])
+    def test_exhaustive_cap_must_be_a_positive_integer(self, cap):
+        # a usage error, as for enumeration, not a cap that was exceeded
+        inst = MspInstance(Palette(2), 1, ())
+        with pytest.raises(InvalidInputError):
+            solve(inst, mode="exhaustive", cap=cap)
+
     def test_enumeration_cap_must_be_positive(self):
         inst = MspInstance(Palette(2), 1, ())
         with pytest.raises(InvalidInputError):
@@ -608,16 +615,21 @@ def test_enumeration_past_the_witness_finishes_on_dense_reduction(layout):
 def test_solve_finishes_on_a_reduction_with_a_long_tail():
     # G(12, 0.4), the graph random.Random(1) draws right after one with 10
     # vertices (each pair in order, kept with probability 0.4).  Its last 29
-    # positions hold N in every guess; walking them took over 100 s, while
-    # the residual check on every placement there decides them at once
+    # positions hold N in every guess.  Checking only the placements into
+    # that tail, or that saturate a guess, refuted a doomed cover only once
+    # the search reached the tail: 25 981 nodes and about 3 s.  The residual
+    # check on every placement that draws nothing from the carried witness
+    # refutes it where it starts: 44 nodes
     edges = ((1, 7), (2, 3), (2, 4), (2, 7), (2, 11), (3, 7), (3, 9), (3, 10),
              (4, 6), (4, 7), (5, 6), (5, 11), (6, 8), (7, 12), (8, 11), (9, 11),
              (9, 12))
     instance = reduce_vertex_cover(Graph(12, edges), 6).instance
     assert (instance.length, instance.kappa) == (44, 31)
-    with time_limit(30):
+    nodes = Counter()
+    with time_limit(1), nodes_watched(lambda search, args: nodes.update(["entered"])):
         witness = solve(instance).witness
     assert verify(instance, witness)
+    assert nodes["entered"] < 1000
 
 
 def test_solve_finishes_on_a_hub_reduction():
@@ -638,23 +650,19 @@ def test_solve_finishes_on_a_hub_reduction():
     assert verify(instance, witness)
 
 
-@pytest.mark.parametrize("layout", ["standard", "compact"])
-def test_residual_check_fires_on_every_placement_into_the_tail(monkeypatch, layout):
-    # from tail_start on no guess has an open peg, so a placement there can
-    # gain no black peg and the residual check alone decides whether any
-    # completion is left; each such placement that passes the positional
-    # tests is checked, not only those that saturate a guess, unless it
-    # draws from the node's witness, which proves the check would pass
-    graph = Graph(5, ((1, 3), (1, 5), (2, 4), (4, 5)))
-    instance = reduce_vertex_cover(graph, 2, layout).instance
-    checked, drawn, starts = Counter(), Counter(), set()
+@contextmanager
+def residual_rule_checked():
+    """Check the residual rule at every placement the searches in the body
+    yield: before the last position the placement either ran the residual
+    check or drew from the node's witness, which proves the check would
+    pass, never both and never neither; at the last position it did
+    neither.  Yields the counts of checks run and of draws."""
+    counts = Counter()
     passed = []  # a check that passed, before its placement yields
     residual = _Search._residual_feasible
 
     def counted_residual(self, i, witness):
-        starts.add(self.tail_start)
-        if i + 1 >= self.tail_start:
-            checked[i] += 1
+        counts["checked"] += 1
         verdict = residual(self, i, witness)
         if verdict is not False:
             passed.append(i)
@@ -669,23 +677,43 @@ def test_residual_check_fires_on_every_placement_into_the_tail(monkeypatch, layo
             assert passed in ([], [i])
             was_checked = bool(passed)
             passed.clear()
-            if not search.tail_start <= i + 1 < search.ell:
+            was_drawn = w is not None and child[3] is w
+            if i + 1 == search.ell:
+                assert not was_checked and not was_drawn
                 return
-            was_drawn = child[3] is not None and child[3] is w
             assert was_checked != was_drawn, search.prefix[:i + 1]
             if was_drawn:
                 assert residual(search, i, [0] * (search.nslots + 1)) is not False
-                drawn[i] += 1
+                counts["drawn"] += 1
         return placed
 
-    monkeypatch.setattr(_Search, "_residual_feasible", counted_residual)
-    with nodes_watched(watch):
+    _Search._residual_feasible = counted_residual
+    try:
+        with nodes_watched(watch):
+            yield counts
+    finally:
+        _Search._residual_feasible = residual
+
+
+@pytest.mark.parametrize("layout", ["standard", "compact"])
+def test_residual_check_fires_on_every_placement_that_draws_nothing(layout):
+    # at every position, not only in the tail past guess 4's vertex row
+    # where no guess has an open peg, and not only on a saturation
+    graph = Graph(5, ((1, 3), (1, 5), (2, 4), (4, 5)))
+    instance = reduce_vertex_cover(graph, 2, layout).instance
+    with residual_rule_checked() as counts:
         solve(instance)
         enumerate_all(instance, cap=5)
-    # the positions past guess 4's vertex row hold N in every guess
-    assert starts == {3 + graph.vertex_count}
-    assert sum(checked.values()) > 0
-    assert sum(drawn.values()) > 0
+    assert counts["checked"] > 0
+    assert counts["drawn"] > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(games())
+def test_residual_check_fires_on_every_placement_that_draws_nothing_on_games(instance):
+    with residual_rule_checked():
+        solve(instance)
+        enumerate_all(instance, cap=3)
 
 
 def reduction_solutions(artifact, count):
@@ -758,8 +786,8 @@ def tail_reductions():
 
 def test_reductions_with_a_tail_match_the_cover_oracles():
     # solve and the exact search past the witness, both of which run the
-    # tail check, against brute-force vertex cover and the paper's reading
-    # of a solution
+    # residual check in the tail too, against brute-force vertex cover and
+    # the paper's reading of a solution
     for artifact in tail_reductions():
         instance = artifact.instance
         expected = reduction_solutions(artifact, 6)
@@ -940,7 +968,7 @@ def small_reductions(draw):
 
 
 def check_positional_table(search):
-    """at_pos, last_occ and tail_start against their definitions: at_pos[i]
+    """at_pos and last_occ against their definitions: at_pos[i]
     pairs each guess whose open peg at i is s (one on no slot of a guess
     declared (0, 0)) with its black count less its open pegs from i on."""
     dead = {s for gc, w in zip(search.gcount, search.w_target) if w == 0 for s in gc}
@@ -956,8 +984,7 @@ def check_positional_table(search):
     for s in range(len(search.slots)):
         last = max((i for i, here in enumerate(want) if s in dict(here)), default=-1)
         assert search.last_occ[s] == last, s
-    assert search.tail_start == min(i for i in range(search.ell + 1) if not any(want[i:]))
-    # every position with no open peg, the tail's too, holds one shared dict
+    # every position with no open peg holds one shared dict
     empty = [here for here in search.at_pos if not here]
     assert all(here is empty[0] for here in empty)
 
