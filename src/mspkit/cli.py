@@ -95,8 +95,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     graph = parse_graph(_read(args.graph))
-    variant = "compact" if args.compact else "standard"
-    artifact = reduce_vertex_cover(graph, args.cover_size, variant)
+    artifact = reduce_vertex_cover(graph, args.cover_size, args.variant)
     instance = artifact.instance
     summary = f"{instance.kappa} {instance.length} {len(instance.guesses)}"
     if args.output:
@@ -110,8 +109,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     graph = parse_graph(_read(args.graph))
-    variant = "compact" if args.compact else "standard"
-    artifact = reduce_vertex_cover(graph, args.cover_size, variant)
+    artifact = reduce_vertex_cover(graph, args.cover_size, args.variant)
     instance = parse_instance(_read(args.instance))
     if instance != artifact.instance:
         raise InvalidInputError(
@@ -216,14 +214,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="encode vertex cover as an instance")
     p.add_argument("graph", help="graph file")
     p.add_argument("--cover-size", type=int, required=True, dest="cover_size")
-    p.add_argument("--compact", action="store_true", help="use the shorter code layout")
+    p.add_argument("--compact", dest="variant", action="store_const", const="compact",
+                   default="standard", help="use the shorter code layout")
     p.add_argument("-o", "--output", help="write the instance here instead of stdout")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("extract", help="read a vertex cover off a witness")
     p.add_argument("graph", help="graph file")
     p.add_argument("--cover-size", type=int, required=True, dest="cover_size")
-    p.add_argument("--compact", action="store_true")
+    p.add_argument("--compact", dest="variant", action="store_const", const="compact",
+                   default="standard")
     p.add_argument("instance", help="instance file (must match the reduction)")
     p.add_argument("code", help="witness code")
     p.set_defaults(func=cmd_extract)

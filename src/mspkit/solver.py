@@ -168,8 +168,9 @@ def _multiset_feasible(search: _Search) -> bool | None:
     search's per-node tests may take both as holding at node 0.
     """
     witness = [0] * (search.nslots + 1)
+    # with nothing placed, search.need holds the declared match totals
     verdict = _system_feasible(search.nslots, search.ell, search.by_color, search.cnt,
-                               search.w_target, _CHECK_BUDGET, witness)
+                               search.need, _CHECK_BUDGET, witness)
     if verdict:
         search.witness = witness
     return verdict
@@ -213,7 +214,8 @@ def _system_feasible(nslots: int, ell: int, cols: dict[int, list[tuple[int, int]
     and witness[0] the copies that pad the total to ell, each adding no
     match.  Within budget the verdict does not depend on the level order;
     only which calls spend their budget, and which witness a passing call
-    writes, do.
+    writes, do.  ``placed`` and ``targets`` are read and never written: the
+    search passes its live cnt and need.
     """
     levels = []
     live = []  # live[j]: the slot of levels[j]
@@ -332,21 +334,23 @@ class _Search:
     placement updates the counts once per slot; only writing the prefix
     loops over the slot's colors, ascending, so codes keep palette order.
 
+    Each guess g keeps what is left of its declared score: b_need[g] blacks
+    and need[g] matches, which a placement lowers and its restore raises.
+
     Pruning (always on; removes no solutions).  A node at position i holds
     three invariants for every guess g, each restored for every child:
-    black reach (b_par + open pegs from i on >= b_target, where a peg is
-    open unless blocked from the start), need <= ell - i (need is the match
-    target less m_par), and gain >= need (gain is what g's slots not blocked
-    or below the floor can still match).  At node 0 the root multiset check
-    has proved the first and third (see _multiset_feasible), and the second
-    holds as a score is at most ell.
+    black reach (b_need <= g's open pegs from i on, where a peg is open
+    unless blocked from the start), need <= ell - i, and gain >= need (gain
+    is what g's slots not blocked or below the floor can still match).  At
+    node 0 the root multiset check has proved the first and third (see
+    _multiset_feasible), and the second holds as a score is at most ell.
 
     * black counts, once per node.  One pass over the open pegs at i finds
-      ``full``, the slots of guesses already at their black count (placing
-      one would exceed it), and ``forced``, the slot of a guess with b_par
-      == lo, the lower bound at_pos keeps beside each open peg (b_target
-      less the guess's open pegs from i on): that guess needs every open
-      peg it has left, and so this one.  Two different forced slots leave no
+      ``full``, the slots of guesses with b_need 0 (placing one would
+      exceed the black count), and ``forced``, the slot of a guess whose
+      b_need equals ``ahead``, the count at_pos keeps beside each open peg
+      of the guess's open pegs from i on: that guess needs every open peg
+      it has left, and so this one.  Two different forced slots leave no
       child; any other guess keeps its reach whatever is placed.
     * need > rem, once per node: ``urgent`` holds the guesses with need ==
       ell - i, and every placement must bump each of them.  At the last
@@ -357,9 +361,9 @@ class _Search:
       slots or a risen floor can lower a gain further, so every guess is
       re-tested then; a guess whose gain did not change passes by the
       invariant.
-    * blocked colors: once a guess reaches its match total (a guess declared
-      (0, 0) from the start), a color it holds more pegs of than are placed
-      can never be placed again.  blocked[c] counts those guesses.  It
+    * blocked colors: once a guess reaches its match total (need 0; a guess
+      declared (0, 0) from the start), a color it holds more pegs of than
+      are placed can never be placed again.  blocked[c] counts those guesses.  It
       changes only when a placement saturates a guess (a blocked color is
       never placed).
     * residual multiset check, on every placement the other rules admit
@@ -384,7 +388,7 @@ class _Search:
     draws that copy: the entry is decremented in place for the child and
     restored afterwards, and the placement's residual check is skipped.
     It could not return False: each guess s bumps loses one from
-    min(k_s, r_gs) and one from its target, any other guess keeps both (a
+    min(k_s, r_gs) and one from its need, any other guess keeps both (a
     padding copy adds no match), and the total falls by one, so the
     decremented multiset solves the child's system.  A placement that
     draws nothing runs the check and passes the child the witness it
@@ -416,7 +420,6 @@ class _Search:
     def __init__(self, instance: MspInstance):
         self.ell = instance.length
         guesses = instance.guesses
-        self.n = len(guesses)
 
         # slots[s]: the colors of slot s (slot 0 is a placeholder); a held
         # color starts a slot, and so do color 1 and the color after a held one
@@ -428,8 +431,9 @@ class _Search:
 
         # lists, not tuples: freed short tuples stay on per-length free lists
         self.pegs = [list(map(slot.__getitem__, sg.guess)) for sg in guesses]
-        self.b_target = [sg.declared.black for sg in guesses]
-        self.w_target = [sg.declared.color_matches for sg in guesses]
+        # what is left of each declared score (see the class docstring)
+        self.b_need = [sg.declared.black for sg in guesses]
+        self.need = [sg.declared.color_matches for sg in guesses]
 
         # gcount[gi][s]: pegs of slot s in guess gi (slots it holds only)
         self.gcount = [Counter(p) for p in self.pegs]
@@ -445,14 +449,12 @@ class _Search:
         # pegs of s than are placed; a guess declared (0, 0) starts saturated
         self.blocked = [0] * len(self.slots)
         for gi, gc in enumerate(self.gcount):
-            if self.w_target[gi] == 0:
+            if self.need[gi] == 0:
                 for s in gc:
                     self.blocked[s] += 1
 
         # mutable search state
         self.cnt = [0] * len(self.slots)
-        self.b_par = [0] * self.n
-        self.m_par = [0] * self.n
         self.prefix = [0] * self.ell
         self.found = 0  # solutions so far; canonical mode while none
         self.witness = None  # node 0's witness, once the root check finds one
@@ -462,20 +464,20 @@ class _Search:
         generators it abandons are freed as run returns.  The root check
         (_multiset_feasible) must not have refuted the instance."""
         # the positional table, built here, so a root-refuted call skips it.
-        # at_pos[i][s]: (g, lo) for each guess g whose open peg at position i
-        # is s (a peg is open unless its slot is blocked from the start), lo
-        # being b_target[g] less g's open pegs at positions >= i; a position
+        # at_pos[i][s]: (g, ahead) for each guess g whose open peg at
+        # position i is s (a peg is open unless its slot is blocked from the
+        # start), ahead being g's open pegs at positions >= i; a position
         # with no open peg holds the one shared empty dict
         empty: dict[int, tuple[tuple[int, int], ...]] = {}
         self.at_pos = [empty] * self.ell
         self.last_occ = [-1] * len(self.slots)  # the last position with s open
-        ahead = [0] * self.n
+        ahead = [0] * len(self.pegs)
         for i in reversed(range(self.ell)):
             here: dict[int, list[tuple[int, int]]] = {}
             for gi, p in enumerate(self.pegs):
                 if not self.blocked[p[i]]:
                     ahead[gi] += 1
-                    here.setdefault(p[i], []).append((gi, self.b_target[gi] - ahead[gi]))
+                    here.setdefault(p[i], []).append((gi, ahead[gi]))
             if here:
                 self.at_pos[i] = {s: tuple(hits) for s, hits in here.items()}
             for s in here:
@@ -504,8 +506,8 @@ class _Search:
         # ell, and resumes once run has searched or collected it; the floor
         # starts at (0, -1), below every slot and position, and only
         # canonical stream placements raise it; until then nothing is skipped
-        ell, b_par, b_target = self.ell, self.b_par, self.b_target
-        m_par, w_target, cnt, blocked = self.m_par, self.w_target, self.cnt, self.blocked
+        ell, b_need, need = self.ell, self.b_need, self.need
+        cnt, blocked = self.cnt, self.blocked
         last = i + 1 == ell
         at_i = self.at_pos[i]
 
@@ -514,16 +516,16 @@ class _Search:
         full = []
         forced = 0
         for s, hits in at_i.items():
-            for gi, lo in hits:
-                if b_par[gi] == b_target[gi]:
+            for gi, ahead in hits:
+                if not b_need[gi]:
                     full.append(s)
-                elif b_par[gi] == lo:
+                elif b_need[gi] == ahead:
                     if forced and forced != s:
                         return
                     forced = s
         urgent = []
-        for gi in range(self.n):
-            if w_target[gi] - m_par[gi] == ell - i:
+        for gi, left in enumerate(need):
+            if left == ell - i:
                 urgent.append(gi)
 
         idle_empty = False
@@ -553,12 +555,11 @@ class _Search:
                 continue
 
             for gi, _ in hits:
-                b_par[gi] += 1
+                b_need[gi] -= 1
             for gi in bumps:
-                m_par[gi] += 1
+                need[gi] -= 1
             cnt[s] = k + 1
             colors = self.slots[s]
-            self.prefix[i] = colors.start  # the residual check's test reads prefix[:i + 1]
 
             raised = not self.found and s >= floor_c and self.last_occ[s] < i
             if raised:
@@ -570,7 +571,7 @@ class _Search:
             # is tested again
             newly = []
             for gi in bumps:
-                if m_par[gi] == w_target[gi]:
+                if not need[gi]:
                     for s2, t in self.gcount[gi].items():
                         if t > cnt[s2]:
                             newly.append(s2)
@@ -606,16 +607,15 @@ class _Search:
 
             cnt[s] = k
             for gi in bumps:
-                m_par[gi] -= 1
+                need[gi] += 1
             for gi, _ in hits:
-                b_par[gi] -= 1
+                b_need[gi] += 1
 
     def _gain_reaches(self, floor_c: int, floor_pos: int) -> bool:
         """Can every guess still gain its need from the slots that are
         neither blocked nor below the floor?"""
         cnt, blocked, last_occ = self.cnt, self.blocked, self.last_occ
-        for gi in range(self.n):
-            need = self.w_target[gi] - self.m_par[gi]
+        for gi, need in enumerate(self.need):
             if need == 0:
                 continue
             gain = 0
@@ -637,6 +637,5 @@ class _Search:
     def _residual_feasible(self, i: int, witness: list[int]) -> bool | None:
         """Multiset check on what is left after position i; False is a proof,
         and on True ``witness`` holds the multiset found."""
-        targets = [w - m for w, m in zip(self.w_target, self.m_par)]
         return _system_feasible(self.nslots, self.ell - i - 1, self.by_color,
-                                self.cnt, targets, _CHECK_BUDGET, witness)
+                                self.cnt, self.need, _CHECK_BUDGET, witness)

@@ -404,8 +404,8 @@ def residual_systems(draw):
     placed = [0] * (search.nslots + 1)
     for s in draw(st.lists(st.integers(1, search.nslots), min_size=i, max_size=i)):
         placed[s] += 1
-    targets = [max(w - sum(min(t, placed[s]) for s, t in gc.items()), 0)
-               for w, gc in zip(search.w_target, search.gcount)]
+    targets = [max(sg.declared.color_matches - sum(min(t, placed[s]) for s, t in gc.items()), 0)
+               for sg, gc in zip(instance.guesses, search.gcount)]
     return search, placed, targets, instance.length - i
 
 
@@ -414,13 +414,16 @@ def residual_systems(draw):
 def test_multiset_verdict_does_not_depend_on_the_level_order(system):
     # the levels run in _columns' order; slot order must give the same
     # verdict, though often another witness, and each witness must solve
-    # the system as defined
+    # the system as defined.  The search passes its live cnt and need as
+    # placed and targets, so the check must leave both as they were
     search, placed, targets, ell = system
+    given = placed[:], targets[:]
     verdicts = []
     for cols in search.by_color, dict(sorted(search.by_color.items())):
         witness = [0] * (search.nslots + 1)
         verdict = _system_feasible(search.nslots, ell, cols, placed, targets,
                                    10**6, witness)
+        assert (placed, targets) == given
         assert verdict is not None
         verdicts.append(verdict)
         if verdict:
@@ -526,7 +529,7 @@ def test_multiset_checks_leave_no_reference_cycles(monkeypatch):
 @given(games(max_len=6, max_guesses=6))
 def test_residual_check_refutes_exactly_the_infeasible_residues(instance):
     # the root check sees nothing placed; this checks what the search hands
-    # the residual check, rebuilt from the placed prefix alone (codes of 6
+    # the residual check, rebuilt from the placed counts alone (codes of 6
     # and 6 guesses give several times the refutations of the default games)
     guesses = [(Counter(sg.guess), sg.declared.color_matches)
                for sg in instance.guesses]
@@ -535,14 +538,16 @@ def test_residual_check_refutes_exactly_the_infeasible_residues(instance):
     def checked(self, i, witness):
         verdict = residual(self, i, witness)
         if verdict is not None:
-            placed = Counter(self.prefix[:i + 1])
+            # the colors of one slot are interchangeable: its first stands
+            # for all of them
+            placed = Counter({self.slots[s].start: k for s, k in enumerate(self.cnt) if k})
             left = [(gc - placed, t - sum((gc & placed).values()))
                     for gc, t in guesses]
             feasible = any(
                 all(sum((gc & Counter(ms)).values()) == t for gc, t in left)
                 for ms in itertools.combinations_with_replacement(
                     range(1, instance.kappa + 1), instance.length - i - 1))
-            assert (verdict is False) == (not feasible), self.prefix[:i + 1]
+            assert (verdict is False) == (not feasible), placed
         return verdict
 
     _Search._residual_feasible = checked
@@ -869,51 +874,74 @@ def test_uniqueness_on_wide_palettes_finishes():
             assert report.unique == (len(result.codes) == 1)
 
 
-def check_search_state(search):
-    """blocked and top against their definitions, from the current state."""
+def score_left(search, instance, i):
+    """What is left of each guess's declared black count and match total
+    once the prefix up to position i is placed, by definition; the search's
+    b_need and need must agree."""
+    placed = search.prefix[:i]
+    counts = Counter(placed)
+    b_need = [sg.declared.black - sum(p == c for p, c in zip(sg.guess, placed))
+              for sg in instance.guesses]
+    need = [sg.declared.color_matches - sum((Counter(sg.guess) & counts).values())
+            for sg in instance.guesses]
+    assert (search.b_need, search.need) == (b_need, need), placed
+    return b_need, need
+
+
+def check_search_state(search, i, need):
+    """cnt, blocked and top against their definitions, from the prefix up
+    to position i and what is left of each match total."""
     cnt = search.cnt
-    saturated = [gc for gc, m, w in zip(search.gcount, search.m_par, search.w_target)
-                 if m == w]
+    assert cnt == [sum(c in colors for c in search.prefix[:i]) for colors in search.slots]
+    saturated = [gc for gc, left in zip(search.gcount, need) if left == 0]
     for c in range(1, search.nslots + 1):
         assert search.blocked[c] == sum(gc[c] > cnt[c] for gc in saturated), c
         assert (cnt[c] >= search.top[c]) == all(gc[c] <= cnt[c] for gc in search.gcount), c
 
 
-def check_node_rules(search, i, floor_c, floor_pos):
+def dead_slots(search, instance):
+    """The slots of the guesses declared (0, 0)."""
+    return {s for gc, sg in zip(search.gcount, instance.guesses)
+            if sg.declared.color_matches == 0 for s in gc}
+
+
+def check_node_rules(search, instance, i, floor_c, floor_pos, b_need, need):
     """full, forced and urgent at node i as their definitions give them, from
-    b_par, m_par and the open pegs ahead on entry, after checking the three
-    invariants the node takes from its parent (or node 0 from the root
-    check): black reach, need <= ell - i and gain >= need."""
-    dead = {s for gc, w in zip(search.gcount, search.w_target) if w == 0 for s in gc}
+    what is left of each declared score and the open pegs ahead on entry,
+    after checking the three invariants the node takes from its parent (or
+    node 0 from the root check): black reach, need <= ell - i and
+    gain >= need."""
+    dead = dead_slots(search, instance)
     full, forced, urgent = set(), set(), []
     for g, pegs in enumerate(search.pegs):
-        b, target = search.b_par[g], search.b_target[g]
         ahead = sum(p not in dead for p in pegs[i:])
-        need = search.w_target[g] - search.m_par[g]
         gain = sum(max(t - search.cnt[s], 0) for s, t in search.gcount[g].items()
                    if not search.blocked[s]
                    and not (s < floor_c and search.last_occ[s] < floor_pos))
-        assert b + ahead >= target and 0 <= need <= min(gain, search.ell - i), g
+        assert 0 <= b_need[g] <= ahead and 0 <= need[g] <= min(gain, search.ell - i), g
         if pegs[i] not in dead:
-            if b == target:
+            if b_need[g] == 0:
                 full.add(pegs[i])
-            elif b + ahead == target:
+            elif b_need[g] == ahead:
                 forced.add(pegs[i])
-        if need == search.ell - i:
+        if need[g] == search.ell - i:
             urgent.append(g)
     return full, forced, urgent
 
 
 @contextmanager
-def search_state_checked():
-    """Run check_search_state at every node of every search in the body, and
-    check the node's full, forced and urgent; yields the nodes counted."""
+def search_state_checked(instance):
+    """Run score_left and check_search_state at every node of every search
+    of ``instance`` in the body, and check the node's full, forced and
+    urgent; yields the nodes counted."""
     nodes = Counter()
 
     def watch(search, args):
         i, floor_c, floor_pos, _ = args
-        check_search_state(search)
-        full, forced, urgent = check_node_rules(search, i, floor_c, floor_pos)
+        b_need, need = score_left(search, instance, i)
+        check_search_state(search, i, need)
+        full, forced, urgent = check_node_rules(search, instance, i, floor_c, floor_pos,
+                                                b_need, need)
         nodes["checked"] += 1
 
         def placed(child, local):
@@ -928,13 +956,14 @@ def search_state_checked():
         yield nodes
 
 
-def check_witness(search, i, w):
-    """w solves the residual system of the node at position i exactly."""
+def check_witness(search, i, w, need):
+    """w solves the residual system of the node at position i exactly, need
+    being what is left of each match total."""
     cnt = search.cnt
     assert sum(w) == search.ell - i
     for g, gc in enumerate(search.gcount):
         matches = sum(min(w[s], max(t - cnt[s], 0)) for s, t in gc.items())
-        assert matches == search.w_target[g] - search.m_par[g], g
+        assert matches == need[g], g
     slots = range(1, search.nslots + 1)
     assert all(w[s] == 0 for s in slots if search.blocked[s])
     # the padding goes on a slot where more copies add no match
@@ -945,12 +974,14 @@ def check_witness(search, i, w):
 
 
 @contextmanager
-def witnesses_checked():
-    """Check the witness of every node that carries one, on entry; a drawn
-    witness is the one of the child it was drawn for."""
+def witnesses_checked(instance):
+    """Check the witness of every node of a search of ``instance`` that
+    carries one, on entry; a drawn witness is the one of the child it was
+    drawn for."""
     def watch(search, args):
         if args[3] is not None:
-            check_witness(search, args[0], args[3])
+            _, need = score_left(search, instance, args[0])
+            check_witness(search, args[0], args[3], need)
 
     with nodes_watched(watch):
         yield
@@ -967,18 +998,18 @@ def small_reductions(draw):
     return reduce_vertex_cover(Graph(nv, tuple(edges)), n, layout).instance
 
 
-def check_positional_table(search):
+def check_positional_table(search, instance):
     """at_pos and last_occ against their definitions: at_pos[i]
     pairs each guess whose open peg at i is s (one on no slot of a guess
-    declared (0, 0)) with its black count less its open pegs from i on."""
-    dead = {s for gc, w in zip(search.gcount, search.w_target) if w == 0 for s in gc}
+    declared (0, 0)) with its open pegs from i on."""
+    dead = dead_slots(search, instance)
     want = []
     for i in range(search.ell):
         here = {}
         for g, pegs in enumerate(search.pegs):
             if pegs[i] not in dead:
                 ahead = sum(p not in dead for p in pegs[i:])
-                here.setdefault(pegs[i], []).append((g, search.b_target[g] - ahead))
+                here.setdefault(pegs[i], []).append((g, ahead))
         want.append([(s, tuple(hits)) for s, hits in here.items()])
     assert [list(here.items()) for here in search.at_pos] == want
     for s in range(len(search.slots)):
@@ -995,7 +1026,7 @@ def test_positional_table_matches_its_definition(instance):
     search = _Search(instance)
     if _multiset_feasible(search) is not False:
         search.run(1)
-        check_positional_table(search)
+        check_positional_table(search, instance)
 
 
 # A blocked count that runs low prunes less but removes no solution, so the
@@ -1003,7 +1034,7 @@ def test_positional_table_matches_its_definition(instance):
 @settings(max_examples=150, deadline=None)
 @given(games())
 def test_blocked_and_inert_colors_match_their_definitions_on_games(instance):
-    with search_state_checked() as nodes:
+    with search_state_checked(instance) as nodes:
         solve(instance)
         enumerate_all(instance, cap=3)
     assert nodes["checked"] or _multiset_feasible(_Search(instance)) is False
@@ -1012,7 +1043,7 @@ def test_blocked_and_inert_colors_match_their_definitions_on_games(instance):
 @settings(max_examples=60, deadline=None)
 @given(small_reductions())
 def test_blocked_and_inert_colors_match_their_definitions_on_reductions(instance):
-    with search_state_checked() as nodes:
+    with search_state_checked(instance) as nodes:
         solve(instance)
         enumerate_all(instance, cap=3)
     assert nodes["checked"] or _multiset_feasible(_Search(instance)) is False
@@ -1028,7 +1059,7 @@ def test_gain_is_retested_for_the_holders_of_newly_blocked_slots():
             ((3, 5, 6, 5, 6), (0, 2)), ((1, 8, 2, 5, 5), (1, 0)),
             ((3, 6, 6, 2, 6), (0, 2)), ((2, 1, 3, 1, 3), (1, 0)),
             ((2, 4, 3, 1, 3), (1, 1)), ((7, 6, 6, 4, 5), (0, 3)))))
-    with search_state_checked() as nodes:
+    with search_state_checked(instance) as nodes:
         solve(instance)
         enumerate_all(instance, cap=3)
     assert nodes["checked"]
@@ -1039,7 +1070,7 @@ def test_gain_is_retested_for_the_holders_of_newly_blocked_slots():
 @settings(max_examples=150, deadline=None)
 @given(games())
 def test_carried_witness_solves_the_residual_system_on_games(instance):
-    with witnesses_checked():
+    with witnesses_checked(instance):
         solve(instance)
         enumerate_all(instance, cap=3)
 
@@ -1047,7 +1078,7 @@ def test_carried_witness_solves_the_residual_system_on_games(instance):
 @settings(max_examples=60, deadline=None)
 @given(small_reductions())
 def test_carried_witness_solves_the_residual_system_on_reductions(instance):
-    with witnesses_checked():
+    with witnesses_checked(instance):
         solve(instance)
         enumerate_all(instance, cap=3)
 
