@@ -363,9 +363,9 @@ class _Search:
       invariant.
     * blocked colors: once a guess reaches its match total (need 0; a guess
       declared (0, 0) from the start), a color it holds more pegs of than
-      are placed can never be placed again.  blocked[c] counts those guesses.  It
-      changes only when a placement saturates a guess (a blocked color is
-      never placed).
+      are placed can never be placed again.  blocked[c] counts those
+      guesses.  It changes only when a placement saturates a guess (a
+      blocked color is never placed).
     * residual multiset check, on every placement the other rules admit
       before the last position, unless it draws from the node's witness
       (see Witness reuse): can any multiset of the positions left still

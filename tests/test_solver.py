@@ -404,7 +404,8 @@ def residual_systems(draw):
     placed = [0] * (search.nslots + 1)
     for s in draw(st.lists(st.integers(1, search.nslots), min_size=i, max_size=i)):
         placed[s] += 1
-    targets = [max(sg.declared.color_matches - sum(min(t, placed[s]) for s, t in gc.items()), 0)
+    targets = [max(sg.declared.color_matches
+                   - sum(min(t, placed[s]) for s, t in gc.items()), 0)
                for sg, gc in zip(instance.guesses, search.gcount)]
     return search, placed, targets, instance.length - i
 
