@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 = YES / true / valid / unique, 1 = NO / false / invalid /
-not-unique, 2 = usage or parse error, 3 = resource limit exceeded or out
-of memory, 4 = internal error (an unexpected exception; no answer was
-reached), 141 = the reader closed stdout before the output was written
-(128 + SIGPIPE, what a shell reports for a writer that SIGPIPE ended).
+not-unique, 2 = usage or parse error, or a file that cannot be read,
+decoded or written, 3 = resource limit exceeded or out of memory, 4 =
+internal error (an unexpected exception; no answer was reached), 141 =
+the reader closed stdout before the output was written (128 + SIGPIPE,
+what a shell reports for a writer that SIGPIPE ended).
 Results go to stdout, diagnostics to stderr.
 """
 
@@ -19,7 +20,7 @@ from pathlib import Path
 from .core import Code, Palette, score, validate_code
 from .errors import InvalidInputError, ParseError, PreconditionError, ResourceLimitError
 from .io import parse_graph, parse_instance, serialize_instance
-from .reduction import (Graph, brute_force_vertex_cover, extract_cover,
+from .reduction import (VARIANTS, Graph, brute_force_vertex_cover, extract_cover,
                         is_vertex_cover, reduce_vertex_cover)
 from .solver import DEFAULT_EXHAUSTIVE_CAP, MODES, enumerate_all, solve, verify
 from .uniqueness import is_unique
@@ -50,7 +51,7 @@ def _parse_code(text: str) -> Code:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
 
 
@@ -70,39 +71,38 @@ def cmd_solve(args: argparse.Namespace) -> int:
         enumeration = enumerate_all(instance, cap=args.cap)
         if enumeration.truncated:
             print(f"note: output truncated at {args.cap} solutions", file=sys.stderr)
-        if not enumeration.codes:
-            print("UNSAT")
-            return EXIT_NO
-        for code in enumeration.codes:
-            print(" ".join(str(p) for p in code))
-        return EXIT_YES
-    outcome = solve(instance, mode=args.mode, cap=args.cap)
-    if not outcome.satisfiable:
+        codes = enumeration.codes
+    else:
+        outcome = solve(instance, mode=args.mode, cap=args.cap)
+        codes = (outcome.witness,) if outcome.satisfiable else ()
+    if not codes:
         print("UNSAT")
         return EXIT_NO
-    print(" ".join(str(p) for p in outcome.witness))
+    for code in codes:
+        print(" ".join(str(p) for p in code))
     return EXIT_YES
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
-    if verify(instance, _parse_code(args.code)):
-        print("VALID")
-        return EXIT_YES
-    print("INVALID")
-    return EXIT_NO
+    valid = verify(instance, _parse_code(args.code))
+    print("VALID" if valid else "INVALID")
+    return EXIT_YES if valid else EXIT_NO
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     graph = parse_graph(_read(args.graph))
-    artifact = reduce_vertex_cover(graph, args.cover_size, args.variant)
-    instance = artifact.instance
+    instance = reduce_vertex_cover(graph, args.cover_size, args.variant).instance
     summary = f"{instance.kappa} {instance.length} {len(instance.guesses)}"
+    text = serialize_instance(instance)
     if args.output:
-        Path(args.output).write_text(serialize_instance(instance))
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {args.output}: {exc}") from None
         print(summary)
     else:
-        sys.stdout.write(serialize_instance(instance))
+        sys.stdout.write(text)
         print(summary, file=sys.stderr)
     return EXIT_YES
 
@@ -129,39 +129,28 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_unique(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
     report = is_unique(instance)
-    if not report.satisfiable:
-        print(f"UNSAT {report.followups_tried}")
-        return EXIT_NO
-    if report.unique:
-        print(f"UNIQUE {report.followups_tried}")
-        return EXIT_YES
-    print(f"NOT-UNIQUE {report.followups_tried}")
-    return EXIT_NO
+    answer = "UNIQUE" if report.unique else "NOT-UNIQUE" if report.satisfiable else "UNSAT"
+    print(f"{answer} {report.followups_tried}")
+    return EXIT_YES if report.unique else EXIT_NO
 
 
 def _roundtrip_row(graph: Graph, n: int) -> tuple[str, bool]:
     vc = brute_force_vertex_cover(graph, n)
     agree = True
-
-    def run(variant: str) -> str:
-        nonlocal agree
+    words = [str(n), "yes" if vc else "no"]
+    for variant in VARIANTS:
         try:
             artifact = reduce_vertex_cover(graph, n, variant)
         except PreconditionError:  # the layout does not encode this cover size
-            return "-"
+            words.append("-")
+            continue
         outcome = solve(artifact.instance)
-        if outcome.satisfiable != vc:
-            agree = False
         if outcome.satisfiable:
             cover = extract_cover(artifact, outcome.witness)
-            if len(cover) != n or not is_vertex_cover(graph, cover):
-                agree = False
-        return "yes" if outcome.satisfiable else "no"
-
-    std, compact = run("standard"), run("compact")
-    word = {True: "yes", False: "no"}[vc]
-    row = f"{n} {word} {std} {compact} {'yes' if agree else 'MISMATCH'}"
-    return row, agree
+            agree = agree and len(cover) == n and is_vertex_cover(graph, cover)
+        agree = agree and outcome.satisfiable == vc
+        words.append("yes" if outcome.satisfiable else "no")
+    return f"{' '.join(words)} {'yes' if agree else 'MISMATCH'}", agree
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
@@ -169,7 +158,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     top = graph.vertex_count if args.max_n is None else min(args.max_n, graph.vertex_count)
     if top < 1:
         raise InvalidInputError(f"--max-n must be at least 1, got {args.max_n}")
-    print("n vc standard compact agree")
+    print("n vc", *VARIANTS, "agree")
     all_agree = True
     for n in range(1, top + 1):
         row, agree = _roundtrip_row(graph, n)
@@ -193,6 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP,
                         help="candidate/result cap for exhaustive work")
     sub = parser.add_subparsers(dest="command", required=True)
+    # what reduce and extract both need to rebuild the reduction
+    reduction = argparse.ArgumentParser(add_help=False)
+    reduction.add_argument("graph", help="graph file")
+    reduction.add_argument("--cover-size", type=int, required=True, dest="cover_size")
+    reduction.add_argument("--compact", dest="variant", action="store_const", const="compact",
+                           default="standard", help="use the shorter code layout")
 
     p = sub.add_parser("score", help="score one code against another")
     p.add_argument("--kappa", type=int, required=True, help="palette size")
@@ -211,19 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("code", help="candidate code, e.g. '1 2 3 4'")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("reduce", help="encode vertex cover as an instance")
-    p.add_argument("graph", help="graph file")
-    p.add_argument("--cover-size", type=int, required=True, dest="cover_size")
-    p.add_argument("--compact", dest="variant", action="store_const", const="compact",
-                   default="standard", help="use the shorter code layout")
+    p = sub.add_parser("reduce", parents=[reduction],
+                       help="encode vertex cover as an instance")
     p.add_argument("-o", "--output", help="write the instance here instead of stdout")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("extract", help="read a vertex cover off a witness")
-    p.add_argument("graph", help="graph file")
-    p.add_argument("--cover-size", type=int, required=True, dest="cover_size")
-    p.add_argument("--compact", dest="variant", action="store_const", const="compact",
-                   default="standard")
+    p = sub.add_parser("extract", parents=[reduction],
+                       help="read a vertex cover off a witness")
     p.add_argument("instance", help="instance file (must match the reduction)")
     p.add_argument("code", help="witness code")
     p.set_defaults(func=cmd_extract)

@@ -19,10 +19,41 @@ vertex-range, self-loop, duplicate-edge, edge-count.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .core import Palette, Score
 from .errors import ParseError
 from .reduction import Graph
 from .solver import MspInstance, ScoredGuess
+
+
+def _records(text: str, comment: str, keyword: str) -> Iterator[tuple[int, list[str]]]:
+    """The fields of each line that is neither blank nor a comment (its
+    first non-blank character is ``comment``), with its 1-based number.
+
+    These are the rules both formats share.  The header, the line whose
+    first field is ``keyword``, comes first, so it is the first record, and
+    it comes once: a second one is a duplicate-header.  A line before it is a
+    missing-header, and so is a text with no header at all, reported one
+    line past the last.  Each parser checks its own header fields and body
+    lines.
+    """
+    lines = text.splitlines()
+    have_header = False
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith(comment):
+            continue
+        fields = line.split()
+        if fields[0] == keyword:
+            if have_header:
+                raise ParseError("duplicate-header", lineno, f"second {keyword} header")
+            have_header = True
+        elif not have_header:
+            raise ParseError("missing-header", lineno, f"{keyword} header must come first")
+        yield lineno, fields
+    if not have_header:
+        raise ParseError("missing-header", len(lines) + 1, f"no {keyword} header found")
 
 
 def _int_field(token: str, lineno: int, what: str) -> int:
@@ -48,27 +79,16 @@ def _pegs(tokens: list[str], kappa: int, lineno: int) -> tuple[int, ...]:
 
 
 def parse_instance(text: str) -> MspInstance:
-    kappa = ell = 0
-    have_header = False
+    records = _records(text, "#", "msp")
+    lineno, fields = next(records)
+    if len(fields) != 3:
+        raise ParseError("bad-header", lineno, "expected: msp <kappa> <ell>")
+    kappa = _int_field(fields[1], lineno, "kappa")
+    ell = _int_field(fields[2], lineno, "ell")
+    if kappa < 1 or ell < 1:
+        raise ParseError("bad-header", lineno, "kappa and ell must be positive")
     guesses: list[ScoredGuess] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if fields[0] == "msp":
-            if have_header:
-                raise ParseError("duplicate-header", lineno, "second msp header")
-            if len(fields) != 3:
-                raise ParseError("bad-header", lineno, "expected: msp <kappa> <ell>")
-            kappa = _int_field(fields[1], lineno, "kappa")
-            ell = _int_field(fields[2], lineno, "ell")
-            if kappa < 1 or ell < 1:
-                raise ParseError("bad-header", lineno, "kappa and ell must be positive")
-            have_header = True
-            continue
-        if not have_header:
-            raise ParseError("missing-header", lineno, "msp header must come first")
+    for lineno, fields in records:
         if fields[0] != "g":
             raise ParseError("bad-line", lineno, f"unexpected line start {fields[0]!r}")
         try:
@@ -88,8 +108,6 @@ def parse_instance(text: str) -> MspInstance:
             raise ParseError("score-range", lineno,
                              f"score ({black}, {white}) impossible for length {ell}")
         guesses.append(ScoredGuess(pegs, Score(black, white)))
-    if not have_header:
-        raise ParseError("missing-header", len(text.splitlines()) + 1, "no msp header found")
     return MspInstance(Palette(kappa), ell, tuple(guesses))
 
 
@@ -102,28 +120,17 @@ def serialize_instance(instance: MspInstance) -> str:
 
 
 def parse_graph(text: str) -> Graph:
-    vertices = declared_edges = 0
-    have_header = False
+    records = _records(text, "c", "p")
+    lineno, fields = next(records)
+    if len(fields) != 4 or fields[1] != "edge":
+        raise ParseError("bad-header", lineno, "expected: p edge <vertices> <edges>")
+    vertices = _int_field(fields[2], lineno, "vertex count")
+    declared_edges = _int_field(fields[3], lineno, "edge count")
+    if vertices < 1 or declared_edges < 0:
+        raise ParseError("bad-header", lineno, "vertex count must be positive")
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] == "p":
-            if have_header:
-                raise ParseError("duplicate-header", lineno, "second p header")
-            if len(fields) != 4 or fields[1] != "edge":
-                raise ParseError("bad-header", lineno, "expected: p edge <vertices> <edges>")
-            vertices = _int_field(fields[2], lineno, "vertex count")
-            declared_edges = _int_field(fields[3], lineno, "edge count")
-            if vertices < 1 or declared_edges < 0:
-                raise ParseError("bad-header", lineno, "vertex count must be positive")
-            have_header = True
-            continue
-        if not have_header:
-            raise ParseError("missing-header", lineno, "p header must come first")
+    for lineno, fields in records:
         if fields[0] != "e":
             raise ParseError("bad-line", lineno, f"unexpected line start {fields[0]!r}")
         if len(fields) != 3:
@@ -142,11 +149,8 @@ def parse_graph(text: str) -> Graph:
             raise ParseError("edge-count", lineno,
                              f"more than the declared {declared_edges} edges")
         edges.append(key)
-    last = len(text.splitlines()) + 1
-    if not have_header:
-        raise ParseError("missing-header", last, "no p header found")
     if len(edges) != declared_edges:
-        raise ParseError("edge-count", last,
+        raise ParseError("edge-count", len(text.splitlines()) + 1,
                          f"declared {declared_edges} edges but found {len(edges)}")
     return Graph(vertices, tuple(edges))
 

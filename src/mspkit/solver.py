@@ -169,8 +169,8 @@ def _multiset_feasible(search: _Search) -> bool | None:
     """
     witness = [0] * (search.nslots + 1)
     # with nothing placed, search.need holds the declared match totals
-    verdict = _system_feasible(search.nslots, search.ell, search.by_color, search.cnt,
-                               search.need, _CHECK_BUDGET, witness)
+    verdict = _system_feasible(search.ell, search.by_color, search.cnt, search.need,
+                               _CHECK_BUDGET, witness)
     if verdict:
         search.witness = witness
     return verdict
@@ -191,9 +191,8 @@ def _columns(counts: list[Counter]) -> dict[int, list[tuple[int, int]]]:
     return dict(sorted(cols.items(), key=lambda kv: (-sum(t for _, t in kv[1]), kv[0])))
 
 
-def _system_feasible(nslots: int, ell: int, cols: dict[int, list[tuple[int, int]]],
-                     placed: list[int], targets: list[int], budget: int,
-                     witness: list[int]) -> bool | None:
+def _system_feasible(ell: int, cols: dict[int, list[tuple[int, int]]], placed: list[int],
+                     targets: list[int], budget: int, witness: list[int]) -> bool | None:
     """Core of the multiset checks: exists k >= 0 per slot with
     sum(k) == ell and sum_s min(k_s, r_gs) == targets[g] for all g, where
     r_gs = max(t_gs - placed[s], 0) is what is left of guess g's count
@@ -215,7 +214,8 @@ def _system_feasible(nslots: int, ell: int, cols: dict[int, list[tuple[int, int]
     match.  Within budget the verdict does not depend on the level order;
     only which calls spend their budget, and which witness a passing call
     writes, do.  ``placed`` and ``targets`` are read and never written: the
-    search passes its live cnt and need.
+    search passes its live cnt and need.  Like ``witness``, ``placed`` has
+    one entry per slot after entry 0, so its length gives the slot count.
     """
     levels = []
     live = []  # live[j]: the slot of levels[j]
@@ -255,7 +255,7 @@ def _system_feasible(nslots: int, ell: int, cols: dict[int, list[tuple[int, int]
     total = 0
     # inflatable: some slot can take copies that add no match; a slot left
     # in no guess can, and so can a live one once it reaches its top count
-    inflatable = held < nslots
+    inflatable = held < len(placed) - 1
     while True:
         # enter the node (j, total, inflatable)
         steps += 1
@@ -637,5 +637,5 @@ class _Search:
     def _residual_feasible(self, i: int, witness: list[int]) -> bool | None:
         """Multiset check on what is left after position i; False is a proof,
         and on True ``witness`` holds the multiset found."""
-        return _system_feasible(self.nslots, self.ell - i - 1, self.by_color,
-                                self.cnt, self.need, _CHECK_BUDGET, witness)
+        return _system_feasible(self.ell - i - 1, self.by_color, self.cnt, self.need,
+                                _CHECK_BUDGET, witness)

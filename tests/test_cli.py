@@ -127,6 +127,35 @@ class TestSolve:
         assert "line 2" in err
 
 
+class TestFileErrors:
+    """A file that cannot be read, decoded or written is a usage error."""
+
+    # under a UTF-8 locale byte 0xff does not decode; under a locale where
+    # it does, the token it makes is not an integer: exit 2 either way
+    @pytest.mark.parametrize("argv, data", [
+        (("solve",), b"msp 2 2\ng 1 \xff : 0 0\n"),
+        (("reduce", "--cover-size", "1"), b"p edge 2 1\ne 1 \xff\n"),
+    ], ids=["instance", "graph"])
+    def test_undecodable_file(self, capsys, tmp_path, argv, data):
+        path = tmp_path / "undecodable"
+        path.write_bytes(data)
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("target", ["missing/k3.msp", "."],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_output(self, capsys, tmp_path, target):
+        output = tmp_path / target
+        code, out, err = run(capsys, "reduce", str(FIXTURES / "k3.graph"),
+                             "--cover-size", "1", "-o", str(output))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot write {output}: ")
+
+
 class TestInternalError:
     def test_unexpected_exception_is_not_a_no(self, capsys, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

@@ -168,6 +168,27 @@ class TestGraphFormat:
         assert kind_of(parse_graph, "p edge 3 2\ne 1 2\n")[0] == "edge-count"
 
 
+class TestSharedLineRules:
+    """Both formats skip blank and comment lines and take one header before
+    any other line; line numbers count every line, and a text with no
+    header is reported one line past its last."""
+
+    @pytest.mark.parametrize("parse, text, expected", [
+        (parse_instance, "# only\n\n# comments\n", ("missing-header", 4)),
+        (parse_graph, "c only\n\nc comments\n", ("missing-header", 4)),
+        (parse_graph, "", ("missing-header", 1)),
+        (parse_graph, "p edge 2 0\np edge 2 0\n", ("duplicate-header", 2)),
+        (parse_instance, "# a\n\ng 1 : 0 0\nmsp 2 1\n", ("missing-header", 3)),
+        (parse_graph, "c a\n\ne 1 2\np edge 2 1\n", ("missing-header", 3)),
+        (parse_instance, "# a\n\nmsp 2 1\n  \n# b\nmsp 2 1\n", ("duplicate-header", 6)),
+        (parse_graph, "c a\n\np edge 2 0\n  \nc b\np edge 2 0\n", ("duplicate-header", 6)),
+        (parse_graph, "c a\n\n  \np edge 3 1\nc b\ne 1 4\n", ("vertex-range", 6)),
+        (parse_graph, "c a\np edge 3 2\ne 1 2\nc b\n\n", ("edge-count", 6)),
+    ])
+    def test_line_numbers(self, parse, text, expected):
+        assert kind_of(parse, text) == expected
+
+
 class TestBundledFixtures:
     def test_graph_fixtures_parse(self):
         expected = {

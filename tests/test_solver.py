@@ -372,16 +372,16 @@ def test_multiset_check_out_of_steps_says_nothing():
     # one step per node entered, the leaf included: (1, 2) at total 1
     # enters slot 1 at k 0, slot 2 at k 1, then the leaf
     cols = _columns([Counter((1, 2))])
-    verdicts = [_system_feasible(2, 1, cols, [0, 0, 0], [1], budget, [0, 0, 0])
+    verdicts = [_system_feasible(1, cols, [0, 0, 0], [1], budget, [0, 0, 0])
                 for budget in range(1, 5)]
     assert verdicts == [None, None, True, True]
     # the multiset found: no copy of slot 1, one of slot 2, no padding
     witness = [0, 0, 0]
-    assert _system_feasible(2, 1, cols, [0, 0, 0], [1], 3, witness) is True
+    assert _system_feasible(1, cols, [0, 0, 0], [1], 3, witness) is True
     assert witness == [0, 0, 1]
     # slot 2 is dead, and one copy of slot 1 cannot pad to length 2
     cols = _columns([Counter((1, 1)), Counter((2, 2))])
-    verdicts = [_system_feasible(2, 2, cols, [0, 0, 0], [1, 0], budget, [0, 0, 0])
+    verdicts = [_system_feasible(2, cols, [0, 0, 0], [1, 0], budget, [0, 0, 0])
                 for budget in range(1, 4)]
     assert verdicts == [None, False, False]
 
@@ -422,8 +422,7 @@ def test_multiset_verdict_does_not_depend_on_the_level_order(system):
     verdicts = []
     for cols in search.by_color, dict(sorted(search.by_color.items())):
         witness = [0] * (search.nslots + 1)
-        verdict = _system_feasible(search.nslots, ell, cols, placed, targets,
-                                   10**6, witness)
+        verdict = _system_feasible(ell, cols, placed, targets, 10**6, witness)
         assert (placed, targets) == given
         assert verdict is not None
         verdicts.append(verdict)
