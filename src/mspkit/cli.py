@@ -17,9 +17,9 @@ import os
 import sys
 from pathlib import Path
 
-from .core import Code, Palette, score, validate_code
+from .core import Palette, score, validate_code
 from .errors import InvalidInputError, ParseError, PreconditionError, ResourceLimitError
-from .io import parse_graph, parse_instance, serialize_instance
+from .io import parse_code, parse_graph, parse_instance, serialize_instance
 from .reduction import (VARIANTS, Graph, brute_force_vertex_cover, extract_cover,
                         is_vertex_cover, reduce_vertex_cover)
 from .solver import DEFAULT_EXHAUSTIVE_CAP, MODES, enumerate_all, solve, verify
@@ -37,26 +37,15 @@ def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _parse_code(text: str) -> Code:
-    tokens = text.split()
-    try:
-        value = {tok: int(tok) for tok in set(tokens)}  # equal pegs share one int
-    except ValueError:
-        raise InvalidInputError(f"code must be space-separated integers, got {text!r}") from None
-    if not tokens:
-        raise InvalidInputError("code must contain at least one peg")
-    return tuple(map(value.__getitem__, tokens))
-
-
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    result = score(_parse_code(args.code_a), _parse_code(args.code_b),
+    result = score(parse_code(args.code_a), parse_code(args.code_b),
                    Palette(args.kappa))
     print(f"{result.black} {result.white}")
     return EXIT_YES
@@ -85,7 +74,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
-    valid = verify(instance, _parse_code(args.code))
+    valid = verify(instance, parse_code(args.code))
     print("VALID" if valid else "INVALID")
     return EXIT_YES if valid else EXIT_NO
 
@@ -114,7 +103,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if instance != artifact.instance:
         raise InvalidInputError(
             "instance file does not match the reduction of this graph")
-    witness = _parse_code(args.code)
+    witness = parse_code(args.code)
     # a malformed code is a usage error (exit 2); only a non-witness is NO
     validate_code(witness, instance.palette, instance.length)
     try:

@@ -10,19 +10,24 @@ Graph format (DIMACS-flavored, ``c`` starts a comment line):
     p edge <vertices> <edges>
     e <u> <v>
 
-Parsers report the first offense with its 1-based line number and a
-machine-readable kind; serializers emit canonical text that parses back to
-an equal value.  Kinds used here: missing-header, duplicate-header,
-bad-header, bad-line, bad-int, peg-count, color-out-of-range, score-range,
-vertex-range, self-loop, duplicate-edge, edge-count.
+Every integer, in a header, a peg, a score or an edge, is ASCII decimal
+digits after at most one ``-``.  Parsers report the first offense with its
+1-based line number and a machine-readable kind; serializers emit canonical
+text that parses back to an equal value.  Kinds used here: missing-header,
+duplicate-header, bad-header, bad-line, bad-int, peg-count,
+color-out-of-range, score-range, vertex-range, self-loop, duplicate-edge,
+edge-count.
+
+parse_code reads a code given on its own, as the command line takes one:
+its pegs follow the grammar of a guess line's pegs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .core import Palette, Score
-from .errors import ParseError
+from .core import Code, Palette, Score
+from .errors import InvalidInputError, ParseError
 from .reduction import Graph
 from .solver import MspInstance, ScoredGuess
 
@@ -56,9 +61,22 @@ def _records(text: str, comment: str, keyword: str) -> Iterator[tuple[int, list[
         raise ParseError("missing-header", len(lines) + 1, f"no {keyword} header found")
 
 
+def _int(token: str) -> int:
+    """A decimal integer: ASCII digits after at most one ``-``.
+
+    ValueError for anything else that ``int`` would take (``+2``, ``1_0``,
+    non-ASCII digits), and, from ``int`` itself, past the interpreter's
+    limit on the digits of a converted integer.
+    """
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def _int_field(token: str, lineno: int, what: str) -> int:
     try:
-        return int(token)
+        return _int(token)
     except ValueError:
         raise ParseError("bad-int", lineno, f"{what} is not an integer: {token!r}") from None
 
@@ -75,6 +93,20 @@ def _pegs(tokens: list[str], kappa: int, lineno: int) -> tuple[int, ...]:
     for peg in value.values():
         if not 1 <= peg <= kappa:
             raise ParseError("color-out-of-range", lineno, f"peg {peg} outside 1..{kappa}")
+    return tuple(map(value.__getitem__, tokens))
+
+
+def parse_code(text: str) -> Code:
+    """A code given as text: pegs as on a guess line, separated by white
+    space.  Like _pegs, each distinct token is converted once, so equal pegs
+    share one int.  The pegs are not checked against a palette or a length,
+    so an empty text gives the empty code; validate_code checks both.
+    """
+    tokens = text.split()
+    try:
+        value = {t: _int(t) for t in dict.fromkeys(tokens)}
+    except ValueError:
+        raise InvalidInputError(f"code must be space-separated integers, got {text!r}") from None
     return tuple(map(value.__getitem__, tokens))
 
 

@@ -360,7 +360,10 @@ class _Search:
       guess it bumps, and leaves the others' alone.  Only newly blocked
       slots or a risen floor can lower a gain further, so every guess is
       re-tested then; a guess whose gain did not change passes by the
-      invariant.
+      invariant.  The test is skipped at the last position, where it
+      cannot fail: there every need is at most 1, ``urgent`` admits only
+      placements that bump each guess with need 1, and no placement bumps
+      a saturated guess (its slots are blocked), so every need is 0 after.
     * blocked colors: once a guess reaches its match total (need 0; a guess
       declared (0, 0) from the start), a color it holds more pegs of than
       are placed can never be placed again.  blocked[c] counts those
@@ -577,12 +580,12 @@ class _Search:
                             newly.append(s2)
             for s2 in newly:
                 blocked[s2] += 1
-            if raised or newly:
-                ok = self._gain_reaches(nf_c, nf_p)
             used = -1  # the witness entry this placement draws, if any
             cw = None
             if ok and not last:
-                if w is not None and (w[s] or inert and w[0]):
+                if (raised or newly) and not self._gain_reaches(nf_c, nf_p):
+                    ok = False
+                elif w is not None and (w[s] or inert and w[0]):
                     used = s if w[s] else 0
                     w[used] -= 1
                     cw = w

@@ -47,6 +47,10 @@ class TestScore:
         code, _, err = run(capsys, "score", "--kappa", "2", "3 1", "1 2")
         assert code == EXIT_USAGE
 
+    def test_full_width_digit_is_no_peg(self, capsys):
+        assert run(capsys, "score", "--kappa", "6", "\uff11 2", "1 2") == (
+            EXIT_USAGE, "", "error: code must be space-separated integers, got '\uff11 2'\n")
+
 
 class TestSolve:
     def test_unsat_reduction(self, capsys, k3n1):
@@ -156,6 +160,48 @@ class TestFileErrors:
         assert err.count("\n") == 1 and err.startswith(f"error: cannot write {output}: ")
 
 
+class TestByteOrderMark:
+    """A UTF-8 file may start with a byte-order mark."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_instance_solves(self, capsys, tmp_path):
+        path = tmp_path / "bom.msp"
+        path.write_bytes(self.BOM + b"msp 2 2\ng 1 2 : 0 2\n")
+        assert run(capsys, "solve", str(path)) == (EXIT_YES, "2 1\n", "")
+
+    def test_graph_reduces(self, capsys, tmp_path):
+        path = tmp_path / "bom.graph"
+        path.write_bytes(self.BOM + b"p edge 2 1\ne 1 2\n")
+        expected = run(capsys, "reduce", str(FIXTURES / "single_edge.graph"), "--cover-size", "1")
+        assert expected[0] == EXIT_YES
+        assert run(capsys, "reduce", str(path), "--cover-size", "1") == expected
+
+    def test_comment_first_keeps_line_numbers(self, capsys, tmp_path):
+        path = tmp_path / "bom.graph"
+        path.write_bytes(self.BOM + b"c a comment\np edge 2 1\ne 1 3\n")
+        assert run(capsys, "reduce", str(path), "--cover-size", "1") == (
+            EXIT_USAGE, "", "error: line 3: edge (1, 3) outside 1..2\n")
+
+
+class TestEmptyCode:
+    """An empty code argument is a usage error, not a crash or a NO."""
+
+    def test_score(self, capsys):
+        assert run(capsys, "score", "--kappa", "6", "", "1 2") == (
+            EXIT_USAGE, "", "error: a code needs at least one peg\n")
+
+    def test_verify(self, capsys):
+        assert run(capsys, "verify", str(FIXTURES / "pinned.msp"), " ") == (
+            EXIT_USAGE, "", "error: expected 2 pegs, got 0\n")
+
+    def test_extract(self, capsys, tmp_path):
+        inst, reduction = tmp_path / "k3n2.msp", ("--cover-size", "2", "--compact")
+        run(capsys, "reduce", str(FIXTURES / "k3.graph"), *reduction, "-o", str(inst))
+        assert run(capsys, "extract", str(FIXTURES / "k3.graph"), *reduction, str(inst), "") == (
+            EXIT_USAGE, "", "error: expected 9 pegs, got 0\n")
+
+
 class TestInternalError:
     def test_unexpected_exception_is_not_a_no(self, capsys, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
@@ -244,6 +290,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path), "1 2")
         assert code == EXIT_NO
         assert out == "INVALID\n"
+
+
+class TestCodeGrammar:
+    """A code argument's pegs follow a guess line's integer grammar."""
+
+    @pytest.mark.parametrize("code", ["+1 1", "1_0 1"])
+    def test_verify_rejects_lenient_pegs(self, capsys, code):
+        assert run(capsys, "verify", str(FIXTURES / "pinned.msp"), code) == (
+            EXIT_USAGE, "", f"error: code must be space-separated integers, got {code!r}\n")
 
 
 class TestReduce:

@@ -97,6 +97,14 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             rho2(multiset((1,)), multiset((1, 2)))
 
+    def test_rho1_empty_codes(self):
+        with pytest.raises(InvalidInputError):
+            rho1((), ())
+
+    def test_rho2_empty_multisets(self):
+        with pytest.raises(InvalidInputError):
+            rho2(multiset(()), multiset(()))
+
 
 @given(code_pairs())
 def test_score_matches_naive_oracle(pair):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 
 from mspkit.core import Score
-from mspkit.errors import ParseError
-from mspkit.io import parse_graph, parse_instance, serialize_graph, serialize_instance
+from mspkit.errors import InvalidInputError, ParseError
+from mspkit.io import (parse_code, parse_graph, parse_instance, serialize_graph,
+                       serialize_instance)
 from mspkit.reduction import Graph, reduce_vertex_cover
 from mspkit.solver import ScoredGuess
 from strategies import graphs, instances
@@ -187,6 +188,54 @@ class TestSharedLineRules:
     ])
     def test_line_numbers(self, parse, text, expected):
         assert kind_of(parse, text) == expected
+
+
+class TestIntegerGrammar:
+    """Every integer field of both formats is ASCII decimal digits after at
+    most one '-': tokens that int() would also take are bad-int at their
+    line, and a token past the interpreter's digit limit is one too."""
+
+    # field: (parser, text with the token in that field, the field's line);
+    # a skipped blank or comment line comes first, so the line is counted
+    FIELDS = {
+        "kappa": (parse_instance, "# c\nmsp {} 2\ng 1 2 : 0 2\n", 2),
+        "ell": (parse_instance, "\nmsp 3 {}\ng 1 2 : 0 2\n", 2),
+        "peg": (parse_instance, "msp 3 2\n\ng 1 {} : 0 0\n", 3),
+        "black": (parse_instance, "msp 3 2\n# c\ng 1 2 : {} 0\n", 3),
+        "white": (parse_instance, "msp 3 2\n# c\ng 1 2 : 0 {}\n", 3),
+        "vertex-count": (parse_graph, "c c\np edge {} 1\ne 1 2\n", 2),
+        "edge-count": (parse_graph, "\np edge 2 {}\ne 1 2\n", 2),
+        "endpoint": (parse_graph, "p edge 3 1\nc c\ne 1 {}\n", 3),
+    }
+    TOKENS = {"plus": "+1", "underscore": "1_0", "arabic-indic": "\u0663",
+              "full-width": "\uff11", "5000-digits": "9" * 5000}
+
+    @pytest.mark.parametrize("token", TOKENS.values(), ids=TOKENS.keys())
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_lenient_token_is_bad_int(self, field, token):
+        parse, template, line = self.FIELDS[field]
+        assert kind_of(parse, template.format(token)) == ("bad-int", line)
+
+    @pytest.mark.parametrize("field, kind", [
+        ("kappa", "bad-header"), ("ell", "bad-header"), ("peg", "color-out-of-range"),
+        ("black", "score-range"), ("white", "score-range"),
+        ("vertex-count", "bad-header"), ("edge-count", "bad-header"),
+        ("endpoint", "vertex-range"),
+    ])
+    def test_minus_one_keeps_its_kind(self, field, kind):
+        parse, template, line = self.FIELDS[field]
+        assert kind_of(parse, template.format("-1")) == (kind, line)
+
+    def test_code_shares_the_grammar(self):
+        assert parse_code(" 3\t-1 03 ") == (3, -1, 3)
+        assert parse_code("") == ()
+        for token in self.TOKENS.values():
+            with pytest.raises(InvalidInputError):
+                parse_code(f"1 {token}")
+
+    def test_code_equal_pegs_share_one_int(self):
+        code = parse_code("300 7 300")
+        assert code[0] is code[2]
 
 
 class TestBundledFixtures:

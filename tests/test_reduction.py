@@ -136,6 +136,11 @@ class TestArguments:
         art = reduce_vertex_cover(Graph(1, ()), 1)
         assert solve(art.instance).satisfiable
 
+    @pytest.mark.parametrize("cover_size", [0, 4])
+    def test_brute_force_cover_size_out_of_range(self, cover_size):
+        with pytest.raises(InvalidInputError):
+            brute_force_vertex_cover(TRIANGLE, cover_size)
+
     def test_brute_force_vertex_limit(self):
         big = Graph(BRUTE_FORCE_VERTEX_LIMIT + 1, ())
         with pytest.raises(ResourceLimitError):

@@ -126,6 +126,11 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInputError):
             MspInstance(Palette(2), 2, (ScoredGuess((1, 2), Score(-1, 0)),))
 
+    @pytest.mark.parametrize("length", [0, "3"])
+    def test_length_not_a_positive_int(self, length):
+        with pytest.raises(InvalidInputError):
+            MspInstance(Palette(2), length, ())
+
     def test_unknown_mode(self):
         inst = MspInstance(Palette(2), 1, ())
         with pytest.raises(InvalidInputError):

@@ -111,6 +111,10 @@ class TestScorePairs:
         with pytest.raises(InvalidInputError):
             score_pairs_excluding_perfect(0)
 
+    def test_rejects_non_integer_length(self):
+        with pytest.raises(InvalidInputError):
+            score_pairs_excluding_perfect("3")
+
 
 @settings(max_examples=300, deadline=None)
 @given(instances(3, 3, 3))
