@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mspkit",
         description="Mastermind satisfiability: solve, verify, and reduce vertex cover.")
     parser.add_argument("--cap", type=int, default=DEFAULT_EXHAUSTIVE_CAP,
-                        help="candidate/result cap for exhaustive work")
+                        help="cap on exhaustive work and on solve --all output")
     sub = parser.add_subparsers(dest="command", required=True)
     # what reduce and extract both need to rebuild the reduction
     reduction = argparse.ArgumentParser(add_help=False)

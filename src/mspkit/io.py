@@ -158,8 +158,10 @@ def parse_graph(text: str) -> Graph:
         raise ParseError("bad-header", lineno, "expected: p edge <vertices> <edges>")
     vertices = _int_field(fields[2], lineno, "vertex count")
     declared_edges = _int_field(fields[3], lineno, "edge count")
-    if vertices < 1 or declared_edges < 0:
+    if vertices < 1:
         raise ParseError("bad-header", lineno, "vertex count must be positive")
+    if declared_edges < 0:
+        raise ParseError("bad-header", lineno, "edge count must not be negative")
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, fields in records:

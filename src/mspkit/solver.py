@@ -17,7 +17,7 @@ produced every declared score.  Two engines decide this:
 Nothing in the backtracking engine grows with kappa.  It works over slots:
 one per color some guess holds and one per maximal run of colors no guess
 holds.  Both multiset checks read a guess's slot counts as per-slot columns
-(_columns, built once per call), one search level per slot, the slots with
+(_columns, built once per search), one search level per slot, the slots with
 the most pegs first.  verify keeps its own count of the candidate's colors
 and reads each guess's counts of those colors off a sorted copy of it.
 
@@ -161,16 +161,15 @@ def _multiset_feasible(search: _Search) -> bool | None:
     the multiset found is search.witness, node 0's witness (see _Search).
 
     It is also the root positional check.  With nothing placed, the up-front
-    ``rest < targets`` test, made before any budget step, compares each
-    guess's open pegs (those no target-0 guess blocks) with its match total,
+    ``rest < need`` test, made before any budget step, compares each guess's
+    open pegs (those no guess declared (0, 0) blocks) with its match total,
     which is at least its black count.  So an instance whose root black
     reach or gain falls short is refuted here, whatever the budget, and the
     search's per-node tests may take both as holding at node 0.
     """
     witness = [0] * (search.nslots + 1)
     # with nothing placed, search.need holds the declared match totals
-    verdict = _system_feasible(search.ell, search.by_color, search.cnt, search.need,
-                               _CHECK_BUDGET, witness)
+    verdict = _system_feasible(search, search.ell, witness)
     if verdict:
         search.witness = witness
     return verdict
@@ -191,61 +190,57 @@ def _columns(counts: list[Counter]) -> dict[int, list[tuple[int, int]]]:
     return dict(sorted(cols.items(), key=lambda kv: (-sum(t for _, t in kv[1]), kv[0])))
 
 
-def _system_feasible(ell: int, cols: dict[int, list[tuple[int, int]]], placed: list[int],
-                     targets: list[int], budget: int, witness: list[int]) -> bool | None:
+def _system_feasible(search: _Search, ell: int, witness: list[int]) -> bool | None:
     """Core of the multiset checks: exists k >= 0 per slot with
-    sum(k) == ell and sum_s min(k_s, r_gs) == targets[g] for all g, where
-    r_gs = max(t_gs - placed[s], 0) is what is left of guess g's count
-    t_gs of slot s (``cols``, see _columns) once ``placed[s]`` copies of
-    s are placed (an unheld slot's k counts the copies of all its colors).
+    sum(k) == ell and sum_s min(k_s, r_gs) == need[g] for all g, where
+    r_gs = max(t_gs - cnt[s], 0) is what is left of guess g's count t_gs
+    of slot s (search.by_color, see _columns) once cnt[s] copies of s are
+    placed (an unheld slot's k counts the copies of all its colors).
 
-    Only the live slots (left in some guess and in no target-0 guess) are
-    searched, one level each in the order of ``cols`` (fail-first, see
-    _columns), trying k = 0, 1, ... copies; any other slot adds no match and
-    can only pad the total.  A k is tried only if each guess in its row
-    keeps running <= target <= running + rest, so at a leaf (rest 0) each
-    guess with a row meets its target, and one with none has target 0 (else
-    rest < targets refutes up front): a leaf asks only that the total can
-    pad to ell.  The search loops over an explicit stack (no recursion
-    limit); each node entered, the leaf too, takes a ``budget`` step.  False
-    is a proof of infeasibility, None a spent budget.  On True, ``witness``
-    (zeros on entry, one entry per slot) holds the k found per live slot,
-    and witness[0] the copies that pad the total to ell, each adding no
-    match.  Within budget the verdict does not depend on the level order;
-    only which calls spend their budget, and which witness a passing call
-    writes, do.  ``placed`` and ``targets`` are read and never written: the
-    search passes its live cnt and need.  Like ``witness``, ``placed`` has
-    one entry per slot after entry 0, so its length gives the slot count.
+    The search keeps the slot facts this reads: a slot with cnt[s] >=
+    top[s] is inert (left in no guess), and a slot with blocked[s] is left
+    in a saturated guess (need 0), so no copy of it can be used.  Only the
+    live slots, neither inert nor blocked, are searched, one level each in
+    the order of by_color (fail-first, see _columns), trying k = 0, 1, ...
+    copies up to top[s] - cnt[s]; any other slot adds no match and can
+    only pad the total.  A k is tried only if each guess in its row keeps
+    running <= need <= running + rest, so at a leaf (rest 0) each guess
+    with a row meets its need, and one with none has need 0 (else rest <
+    need refutes up front): a leaf asks only that the total can pad to
+    ell.  The search loops over an explicit stack (no recursion limit);
+    each node entered, the leaf too, takes one of _CHECK_BUDGET steps.
+    False is a proof of infeasibility, None a spent budget.  On True,
+    ``witness`` (zeros on entry, one entry per slot) holds the k found per
+    live slot, and witness[0] the copies that pad the total to ell, each
+    adding no match.  Within budget the verdict does not depend on the
+    level order; only which calls spend their budget, and which witness a
+    passing call writes, do.  The search's state is read and never
+    written.
     """
+    cnt, need, blocked, top = search.cnt, search.need, search.blocked, search.top
+    budget = _CHECK_BUDGET
     levels = []
     live = []  # live[j]: the slot of levels[j]
     # rest[g]: match total still obtainable from slots not yet decided
-    rest = [0] * len(targets)
+    rest = [0] * len(need)
     held = 0  # slots left in some guess
-    for s, col in cols.items():
-        ps = placed[s]
+    for s, col in search.by_color.items():
+        ps = cnt[s]
+        if ps >= top[s]:
+            continue  # inert: can only pad
+        held += 1
+        if blocked[s]:
+            continue  # left in a saturated guess: never used
         # with nothing placed, the column is already the residual row
         row = [(gi, t - ps) for gi, t in col if t > ps] if ps else col
-        if not row:
-            continue
-        held += 1
-        # a slot left in a target-0 guess can never be used; leaving it
-        # out of every row keeps the reach bounds honest about that
-        top = 0
         for gi, r in row:
-            if not targets[gi]:
-                break
-            if r > top:
-                top = r
-        else:
-            for gi, r in row:
-                rest[gi] += r
-            levels.append((row, top))
-            live.append(s)
-    if any(r < t for r, t in zip(rest, targets)):
+            rest[gi] += r
+        levels.append((row, top[s] - ps))
+        live.append(s)
+    if any(r < t for r, t in zip(rest, need)):
         return False
     depth = len(levels)
-    running = [0] * len(targets)
+    running = [0] * len(need)
     # per level: the k being tried, and inflatable on entry (the entry
     # total is the child's total less k)
     ks = [0] * depth
@@ -255,7 +250,7 @@ def _system_feasible(ell: int, cols: dict[int, list[tuple[int, int]]], placed: l
     total = 0
     # inflatable: some slot can take copies that add no match; a slot left
     # in no guess can, and so can a live one once it reaches its top count
-    inflatable = held < len(placed) - 1
+    inflatable = held < search.nslots
     while True:
         # enter the node (j, total, inflatable)
         steps += 1
@@ -285,11 +280,11 @@ def _system_feasible(ell: int, cols: dict[int, list[tuple[int, int]]], placed: l
                 skip = False
                 for gi, t in row:
                     v = running[gi] + (k if k < t else t)
-                    if v > targets[gi]:
+                    if v > need[gi]:
                         k = kmax  # larger k only overshoots further
                         skip = True
                         break
-                    if v + rest[gi] < targets[gi]:
+                    if v + rest[gi] < need[gi]:
                         skip = True  # out of reach; a larger k may do
                 if not skip:
                     break
@@ -397,12 +392,13 @@ class _Search:
     draws nothing runs the check and passes the child the witness it
     found, or none.
 
-    The guess lists (by_color) are also the multiset checks' columns, with
-    cnt placed.  Every position, the last too, takes one placement step:
-    at the last, the black rule and ``urgent`` admit only placements that
-    meet every declared score exactly.  Every placement yields its child
-    (i + 1, floor, witness) to run; a child at position ell is a solution,
-    which run copies from the prefix and counts in ``found``.
+    The multiset checks read the search's state as it stands: the columns
+    by_color, cnt, need, blocked and top.  Every position, the last too,
+    takes one placement step: at the last, the black rule and ``urgent``
+    admit only placements that meet every declared score exactly.  Every
+    placement yields its child (i + 1, floor, witness) to run; a child at
+    position ell is a solution, which run copies from the prefix and counts
+    in ``found``.
 
     Canonical mode, while found is 0 (preserves satisfiability and
     the lex-smallest solution but collapses interchangeable branches): once
@@ -640,5 +636,4 @@ class _Search:
     def _residual_feasible(self, i: int, witness: list[int]) -> bool | None:
         """Multiset check on what is left after position i; False is a proof,
         and on True ``witness`` holds the multiset found."""
-        return _system_feasible(self.ell - i - 1, self.by_color, self.cnt, self.need,
-                                _CHECK_BUDGET, witness)
+        return _system_feasible(self, self.ell - i - 1, witness)

@@ -144,6 +144,15 @@ class TestGraphFormat:
     def test_zero_vertices(self):
         assert kind_of(parse_graph, "p edge 0 0\n")[0] == "bad-header"
 
+    @pytest.mark.parametrize("header, message", [
+        ("p edge 0 1", "vertex count must be positive"),
+        ("p edge 3 -1", "edge count must not be negative")])
+    def test_header_names_the_field(self, header, message):
+        with pytest.raises(ParseError) as info:
+            parse_graph(f"c c\n{header}\n")
+        assert (info.value.kind, info.value.line, info.value.message) == (
+            "bad-header", 2, message)
+
     def test_unknown_line(self):
         assert kind_of(parse_graph, "p edge 2 1\nq 1 2\n")[0] == "bad-line"
 

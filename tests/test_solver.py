@@ -373,22 +373,56 @@ def test_root_check_pads_only_with_an_unheld_color(kappa, verdict, witness):
     assert solve(instance).witness == witness
 
 
-def test_multiset_check_out_of_steps_says_nothing():
+def verdicts_per_budget(monkeypatch, search, ell, budgets):
+    """The multiset check's verdict on ``search`` for each step budget, and
+    the witness the last call wrote."""
+    verdicts = []
+    for budget in budgets:
+        monkeypatch.setattr(mspkit.solver, "_CHECK_BUDGET", budget)
+        witness = [0] * (search.nslots + 1)
+        verdicts.append(_system_feasible(search, ell, witness))
+    return verdicts, witness
+
+
+def test_multiset_check_out_of_steps_says_nothing(monkeypatch):
     # one step per node entered, the leaf included: (1, 2) at total 1
-    # enters slot 1 at k 0, slot 2 at k 1, then the leaf
-    cols = _columns([Counter((1, 2))])
-    verdicts = [_system_feasible(1, cols, [0, 0, 0], [1], budget, [0, 0, 0])
-                for budget in range(1, 5)]
-    assert verdicts == [None, None, True, True]
-    # the multiset found: no copy of slot 1, one of slot 2, no padding
-    witness = [0, 0, 0]
-    assert _system_feasible(1, cols, [0, 0, 0], [1], 3, witness) is True
-    assert witness == [0, 0, 1]
+    # enters slot 1 at k 0, slot 2 at k 1, then the leaf; the multiset
+    # found is no copy of slot 1, one of slot 2 and no padding
+    search = _Search(MspInstance(Palette(2), 2, (ScoredGuess((1, 2), Score(0, 1)),)))
+    assert verdicts_per_budget(monkeypatch, search, 1, range(1, 5)) == (
+        [None, None, True, True], [0, 0, 1])
     # slot 2 is dead, and one copy of slot 1 cannot pad to length 2
-    cols = _columns([Counter((1, 1)), Counter((2, 2))])
-    verdicts = [_system_feasible(2, cols, [0, 0, 0], [1, 0], budget, [0, 0, 0])
-                for budget in range(1, 4)]
-    assert verdicts == [None, False, False]
+    search = _Search(MspInstance(Palette(2), 2, (
+        ScoredGuess((1, 1), Score(1, 0)), ScoredGuess((2, 2), Score(0, 0)))))
+    assert verdicts_per_budget(monkeypatch, search, 2, range(1, 4))[0] == [None, False, False]
+
+
+def place(search, instance, slots):
+    """Set the search's cnt and need as placing ``slots`` leaves them, and
+    blocked from its definition (see check_search_state)."""
+    placed = Counter(slots)
+    search.cnt[:] = [placed[s] for s in range(search.nslots + 1)]
+    search.need[:] = [sg.declared.color_matches
+                      - sum(min(t, placed[s]) for s, t in gc.items())
+                      for sg, gc in zip(instance.guesses, search.gcount)]
+    saturated = [gc for gc, left in zip(search.gcount, search.need) if left == 0]
+    search.blocked[:] = [sum(gc[s] > placed[s] for gc in saturated)
+                         for s in range(search.nslots + 1)]
+
+
+def test_multiset_check_reads_the_slot_facts_off_the_search(monkeypatch):
+    # the secret 2 2 2 from its first peg on: guess 0 is saturated and
+    # blocks slot 1, and one copy of slot 2 is placed, of top 2.  The check
+    # enters slot 2 alone, takes k 1 (top - cnt caps it there, so the slot
+    # is then inert), and the leaf pads the total to 2 with one copy
+    instance = MspInstance(Palette(2), 3, (
+        ScoredGuess((1, 1, 2), Score(1, 0)), ScoredGuess((1, 2, 2), Score(2, 0))))
+    search = _Search(instance)
+    place(search, instance, [2])
+    assert (search.cnt, search.need, search.blocked, search.top) == (
+        [0, 0, 1], [0, 1], [0, 1, 0], [0, 2, 2])
+    assert verdicts_per_budget(monkeypatch, search, 2, range(1, 4)) == (
+        [None, True, True], [1, 0, 1])
 
 
 def test_columns_put_the_most_pegs_first():
@@ -401,18 +435,19 @@ def test_columns_put_the_most_pegs_first():
 
 @st.composite
 def residual_systems(draw):
-    """A search's columns, some slots placed, and the match totals left
-    once they are, from instances() or games()."""
+    """A search at a state it can reach, from instances() or games(), and
+    the code length left: slots placed one at a time, each one that no
+    saturated guess blocks, as the search places them."""
     instance = draw(st.one_of(instances(4, 5, 4), games(8, 7, 7)))
     search = _Search(instance)
-    i = draw(st.integers(0, instance.length))
-    placed = [0] * (search.nslots + 1)
-    for s in draw(st.lists(st.integers(1, search.nslots), min_size=i, max_size=i)):
-        placed[s] += 1
-    targets = [max(sg.declared.color_matches
-                   - sum(min(t, placed[s]) for s, t in gc.items()), 0)
-               for sg, gc in zip(instance.guesses, search.gcount)]
-    return search, placed, targets, instance.length - i
+    slots = []
+    for _ in range(draw(st.integers(0, instance.length))):
+        free = [s for s in range(1, search.nslots + 1) if not search.blocked[s]]
+        if not free:
+            break
+        slots.append(draw(st.sampled_from(free)))
+        place(search, instance, slots)
+    return search, instance.length - len(slots)
 
 
 @settings(max_examples=300, deadline=None)
@@ -420,25 +455,27 @@ def residual_systems(draw):
 def test_multiset_verdict_does_not_depend_on_the_level_order(system):
     # the levels run in _columns' order; slot order must give the same
     # verdict, though often another witness, and each witness must solve
-    # the system as defined.  The search passes its live cnt and need as
-    # placed and targets, so the check must leave both as they were
-    search, placed, targets, ell = system
-    given = placed[:], targets[:]
+    # the system as defined.  The check reads the search's live state, so
+    # it must leave that state as it was
+    search, ell = system
+    cnt, need = search.cnt, search.need
+    given = [cnt[:], need[:], search.blocked[:], search.top[:]]
     verdicts = []
     for cols in search.by_color, dict(sorted(search.by_color.items())):
+        search.by_color = cols
         witness = [0] * (search.nslots + 1)
-        verdict = _system_feasible(ell, cols, placed, targets, 10**6, witness)
-        assert (placed, targets) == given
+        verdict = _system_feasible(search, ell, witness)
+        assert [search.cnt, search.need, search.blocked, search.top] == given
         assert verdict is not None
         verdicts.append(verdict)
         if verdict:
             assert sum(witness) == ell
-            for gc, target in zip(search.gcount, targets):
-                assert sum(min(witness[s], max(t - placed[s], 0))
+            for gc, target in zip(search.gcount, need):
+                assert sum(min(witness[s], max(t - cnt[s], 0))
                            for s, t in gc.items()) == target
             # the padding goes on a slot where more copies add no match
             assert not witness[0] or any(
-                all(witness[s] >= t - placed[s] for _, t in cols.get(s, ()))
+                all(witness[s] >= t - cnt[s] for _, t in cols.get(s, ()))
                 for s in range(1, search.nslots + 1))
     assert verdicts[0] is verdicts[1]
 
